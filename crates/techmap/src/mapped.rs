@@ -5,7 +5,6 @@ use crate::error::MapError;
 use crate::pack::pack_units;
 use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellKind, Hypergraph, HypergraphBuilder, NetId};
 use netpart_netlist::{Driver, GateId, Netlist, SignalId};
-use std::collections::HashMap;
 
 /// Mapper parameters.
 ///
@@ -137,11 +136,12 @@ impl Mapped {
         }
     }
 
-    /// The support (external input signals) of a unit, sorted.
-    pub fn unit_support(&self, nl: &Netlist, unit: &Unit) -> Vec<SignalId> {
+    /// The support (external input signals) of a unit, sorted and
+    /// distinct.
+    pub fn unit_support<'a>(&'a self, nl: &'a Netlist, unit: &Unit) -> &'a [SignalId] {
         match unit {
-            Unit::Lut { cone, .. } => self.cones[*cone].support.clone(),
-            Unit::ExtReg { dff } => vec![nl.gate(*dff).inputs[0]],
+            Unit::Lut { cone, .. } => &self.cones[*cone].support,
+            Unit::ExtReg { dff } => &nl.gate(*dff).inputs[..1],
         }
     }
 
@@ -171,32 +171,27 @@ impl Mapped {
 
         // A net for every CLB-boundary signal: primary inputs and unit
         // outputs. Dangling CLB outputs still get (sink-less) nets.
-        let mut net_of: HashMap<SignalId, NetId> = HashMap::new();
+        let mut net_of: Vec<Option<NetId>> = vec![None; nl.n_signals()];
         let mut net_for = |b: &mut HypergraphBuilder, nl: &Netlist, s: SignalId| -> NetId {
-            *net_of
-                .entry(s)
-                .or_insert_with(|| b.add_net(nl.signal_name(s).to_string()))
+            *net_of[s.index()].get_or_insert_with(|| b.add_net(nl.signal_name(s).to_string()))
         };
 
         // CLB cells.
         let mut cells = Vec::with_capacity(self.clbs.len());
         for (ci, clb) in self.clbs.iter().enumerate() {
-            let mut inputs: Vec<SignalId> = Vec::new();
-            for u in &clb.units {
-                inputs.extend(self.unit_support(nl, u));
-            }
+            let supports: Vec<&[SignalId]> =
+                clb.units.iter().map(|u| self.unit_support(nl, u)).collect();
+            let mut inputs: Vec<SignalId> = supports.concat();
             inputs.sort_unstable();
             inputs.dedup();
             let outputs: Vec<SignalId> =
                 clb.units.iter().map(|u| self.unit_output(nl, u)).collect();
-            let rows: Vec<BitVec> = clb
-                .units
+            let rows: Vec<BitVec> = supports
                 .iter()
-                .map(|u| {
-                    let sup = self.unit_support(nl, u);
+                .map(|sup| {
                     let mut row = BitVec::zeros(inputs.len());
-                    for s in sup {
-                        let j = inputs.binary_search(&s).expect("support ⊆ inputs");
+                    for s in *sup {
+                        let j = inputs.binary_search(s).expect("support ⊆ inputs");
                         row.set(j, true);
                     }
                     row
@@ -281,13 +276,16 @@ pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
     let cones = cover(nl, cfg.max_inputs)?;
 
     // Index cones by output signal for DFF absorption.
-    let mut cone_of_output: HashMap<SignalId, usize> = HashMap::new();
+    let mut cone_of_output: Vec<Option<usize>> = vec![None; nl.n_signals()];
     for (i, c) in cones.iter().enumerate() {
-        cone_of_output.insert(c.output, i);
+        cone_of_output[c.output.index()] = Some(i);
     }
 
     let consumers = consumer_counts(nl);
-    let is_po: std::collections::HashSet<SignalId> = nl.primary_outputs().iter().copied().collect();
+    let mut is_po = vec![false; nl.n_signals()];
+    for &s in nl.primary_outputs() {
+        is_po[s.index()] = true;
+    }
 
     let mut registered_by: Vec<Option<GateId>> = vec![None; cones.len()];
     let mut ext_regs: Vec<GateId> = Vec::new();
@@ -298,10 +296,10 @@ pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
         let d = nl.gate(g).inputs[0];
         let absorbable = cfg.absorb_dffs
             && consumers[d.index()] == 1
-            && !is_po.contains(&d)
+            && !is_po[d.index()]
             && matches!(nl.driver(d), Driver::Gate(_));
         if absorbable {
-            if let Some(&ci) = cone_of_output.get(&d) {
+            if let Some(ci) = cone_of_output[d.index()] {
                 if registered_by[ci].is_none() {
                     registered_by[ci] = Some(g);
                     continue;
@@ -406,6 +404,7 @@ mod tests {
                 .units
                 .iter()
                 .flat_map(|u| m.unit_support(&nl, u))
+                .copied()
                 .collect();
             inputs.sort_unstable();
             inputs.dedup();
