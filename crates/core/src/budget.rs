@@ -30,7 +30,6 @@ const WALL_CHECK_STRIDE: u64 = 64;
 /// than an error, unless *no* usable solution exists yet (then
 /// [`PartitionError::BudgetExhausted`](crate::PartitionError::BudgetExhausted)).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Budget {
     /// Wall-clock limit in milliseconds.
     pub wall_ms: Option<u64>,

@@ -6,7 +6,6 @@ use netpart_hypergraph::Hypergraph;
 
 /// Which replication moves the bipartitioner may perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReplicationMode {
     /// Plain FM: single-cell moves only (the baseline of \[3\]).
     None,
@@ -38,7 +37,6 @@ impl ReplicationMode {
 
 /// How the FM pass selects the next move to try.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SelectionStrategy {
     /// The classic FM gain-bucket ladder with incremental delta updates
     /// — linear-time gain maintenance, the default.
@@ -57,7 +55,6 @@ pub enum SelectionStrategy {
 /// [`BipartitionConfig::bounded`] (explicit per-side area windows, used
 /// by the k-way carver), then adjust with the builder methods.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BipartitionConfig {
     /// Inclusive lower area bound per side.
     pub min_area: [u64; 2],
@@ -90,7 +87,6 @@ pub struct BipartitionConfig {
     pub fault: FaultPlan,
     /// Move-selection structure of the FM pass;
     /// [`SelectionStrategy::GainBuckets`] by default.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub selection: SelectionStrategy,
 }
 

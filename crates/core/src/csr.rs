@@ -45,7 +45,7 @@ pub(crate) fn decode_pin(code: u32) -> Pin {
 }
 
 /// The flattened connectivity arenas. Immutable once built; shared
-/// across pass loops, snapshots and worker threads via `Arc`.
+/// across pass loops and snapshots via `Arc`.
 #[derive(Debug)]
 pub(crate) struct CsrGraph {
     /// `cells → distinct nets` range bounds (`len = n_cells + 1`).

@@ -50,7 +50,6 @@ mod fault;
 mod fm;
 pub mod gain;
 pub mod kway;
-mod parallel;
 mod refine;
 pub mod rent;
 mod runs;
@@ -65,7 +64,6 @@ pub use fm::{bipartition, bipartition_from_sides, bipartition_with_clock, Bipart
 pub use kway::{
     kway_partition, kway_partition_with_clock, record_paper_gauges, KWayConfig, KWayResult,
 };
-pub use parallel::{par_refine_sides, ParRefineOutcome};
 pub use refine::{refine_kway, unreplicate_cleanup, RefineStats};
 pub use runs::{run_many, run_start, MultiRunStats};
 pub use state::{CellState, EngineState};

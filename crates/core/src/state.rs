@@ -236,12 +236,6 @@ impl<'a> EngineState<'a> {
         self.spanning
     }
 
-    /// The distinct nets incident to a cell, ascending (a contiguous
-    /// CSR slice — no allocation).
-    pub(crate) fn incident_nets(&self, c: CellId) -> &[NetId] {
-        self.csr.nets_of(c)
-    }
-
     /// Connection flags of a pin under a hypothetical state.
     pub(crate) fn pin_conn(hg: &Hypergraph, c: CellId, state: CellState, pin: Pin) -> Conn {
         let cell = hg.cell(c);
@@ -694,7 +688,8 @@ mod tests {
         ] {
             let old = st.cell_state(m);
             let sum: i64 = st
-                .incident_nets(m)
+                .csr()
+                .nets_of(m)
                 .iter()
                 .map(|&n| st.net_contribution(m, old, new, n, st.net_counts(n)))
                 .sum();

@@ -12,7 +12,6 @@ use std::fmt;
 /// [`DeviceIndexOutOfRange`](FpgaError::DeviceIndexOutOfRange)) mean a
 /// placement/device pairing broke the evaluator's contract.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FpgaError {
     /// A device library must contain at least one device type.
     EmptyLibrary,

@@ -15,7 +15,6 @@ use crate::error::FpgaError;
 /// assert!(lib.device(0).clbs() < lib.device(4).clbs());
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceLibrary {
     devices: Vec<Device>,
 }

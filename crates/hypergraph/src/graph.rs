@@ -5,12 +5,10 @@ use std::fmt;
 
 /// Identifier of a cell (interior or terminal node).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellId(pub u32);
 
 /// Identifier of a net (hyperedge).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetId(pub u32);
 
 impl CellId {
@@ -53,7 +51,6 @@ impl fmt::Display for NetId {
 
 /// A pin of a cell: either input `j` or output `o`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Pin {
     /// Input pin with index `j` into the cell's input list.
     Input(u16),
@@ -63,7 +60,6 @@ pub enum Pin {
 
 /// One endpoint of a net: a specific pin of a specific cell.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Endpoint {
     /// The cell the net attaches to.
     pub cell: CellId,
@@ -73,7 +69,6 @@ pub struct Endpoint {
 
 /// The role of a node in the hypergraph `H = ({X; Y}, E)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CellKind {
     /// An interior node (set `X`): a mapped logic cell occupying `area`
     /// elementary circuit units (CLBs for XC3000), of which `dff` D
@@ -130,7 +125,6 @@ impl CellKind {
 
 /// A node of the hypergraph together with its pin connectivity.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cell {
     pub(crate) name: String,
     pub(crate) kind: CellKind,
@@ -219,7 +213,6 @@ impl Cell {
 
 /// A hyperedge: one driver endpoint and zero or more sink endpoints.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Net {
     pub(crate) name: String,
     pub(crate) driver: Endpoint,
@@ -256,7 +249,6 @@ impl Net {
 /// Aggregate statistics of a hypergraph, matching the columns of the
 /// paper's Table II.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stats {
     /// Total CLB count (sum of interior-cell areas).
     pub clbs: u32,
@@ -277,7 +269,6 @@ pub struct Stats {
 /// Construct with [`HypergraphBuilder`](crate::HypergraphBuilder); the
 /// structure is immutable afterwards.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hypergraph {
     pub(crate) cells: Vec<Cell>,
     pub(crate) nets: Vec<Net>,

@@ -17,7 +17,6 @@ use std::fmt;
 
 /// Identifier of a part (one device of the k-way partition).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PartId(pub u16);
 
 impl PartId {
@@ -41,7 +40,6 @@ pub type OutputMask = u32;
 
 /// One copy of a cell: the part it sits in and the outputs it keeps.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellCopy {
     /// The part hosting this copy.
     pub part: PartId,
@@ -109,7 +107,6 @@ impl Error for PlacementError {}
 /// [`part_terminals`]: Self::part_terminals
 /// [`part_area`]: Self::part_area
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     n_parts: usize,
     copies: Vec<Vec<CellCopy>>,

@@ -197,15 +197,18 @@ pub fn ml_bipartition_with_clock(
     // for the finer graph, so a refiner whose pass cost scales with the
     // cut (not the graph) does the flat engine's job at a fraction of
     // the wall-clock — this is where the multilevel speedup comes from.
+    // The projected cut is a full net scan that only the Debug-level
+    // `ml.level` event reports, so it is computed only when recorded.
+    let debug = recorder.enabled(Level::Debug);
     for i in (1..chain.len()).rev() {
         let fine_hg = &chain[i - 1].hg;
         let mut fine_sides = chain[i].project_sides(&sides);
-        let projected_cut = cut_of_sides(fine_hg, &fine_sides);
+        let projected_cut = debug.then(|| cut_of_sides(fine_hg, &fine_sides));
         let t0 = Instant::now();
         let span = Span::enter_with(recorder, "ml", "level", "level", i as u64);
         let (p, _) = refine_sides(fine_hg, &coarse_cfg, &mut fine_sides, ml.refine_passes, clock);
         drop(span);
-        if recorder.enabled(Level::Debug) {
+        if let Some(projected_cut) = projected_cut {
             recorder.record(
                 &Event::new("ml", "level", Level::Debug)
                     .field("level", i as u64)
@@ -224,7 +227,7 @@ pub fn ml_bipartition_with_clock(
     // finest level at all. Replicating configurations hand over to the
     // flat engine here, where the paper's replication phases live.
     let mut fine_sides = chain[0].project_sides(&sides);
-    let projected_cut = cut_of_sides(hg, &fine_sides);
+    let projected_cut = debug.then(|| cut_of_sides(hg, &fine_sides));
     let t0 = Instant::now();
     let span = Span::enter_with(recorder, "ml", "level", "level", 0u64);
     let mut result = if cfg.replication == ReplicationMode::None {
@@ -234,7 +237,7 @@ pub fn ml_bipartition_with_clock(
         bipartition_from_sides(hg, cfg, &fine_sides, clock)
     };
     drop(span);
-    if recorder.enabled(Level::Debug) {
+    if let Some(projected_cut) = projected_cut {
         recorder.record(
             &Event::new("ml", "level", Level::Debug)
                 .field("level", 0u64)
@@ -320,10 +323,11 @@ pub fn ml_kway_partition_with_clock(
     let lib = result.effective_library(&cfg.library);
 
     let mut placement = result.placement.clone();
+    let debug = recorder.enabled(Level::Debug);
     for i in (0..chain.len()).rev() {
         let fine_hg = if i == 0 { hg } else { &chain[i - 1].hg };
         let projected = chain[i].project_placement(fine_hg, &placement);
-        let projected_cut = projected.cut_size(fine_hg);
+        let projected_cut = debug.then(|| projected.cut_size(fine_hg));
         let t0 = Instant::now();
         let span = Span::enter_with(recorder, "ml", "level", "level", i as u64);
         placement = projected;
@@ -335,7 +339,7 @@ pub fn ml_kway_partition_with_clock(
             ml.refine_passes,
         );
         drop(span);
-        if recorder.enabled(Level::Debug) {
+        if let Some(projected_cut) = projected_cut {
             recorder.record(
                 &Event::new("ml", "level", Level::Debug)
                     .field("level", i as u64)

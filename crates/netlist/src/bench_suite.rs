@@ -21,7 +21,6 @@ use crate::model::Netlist;
 
 /// Generation parameters for one named benchmark.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BenchSpec {
     /// Benchmark name (matching the paper's tables).
     pub name: &'static str,

@@ -27,7 +27,6 @@ use netpart_rng::Rng;
 /// assert_eq!(nl.n_dffs(), 40);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeneratorConfig {
     /// Number of combinational gates (excluding DFFs).
     pub n_gates: usize,

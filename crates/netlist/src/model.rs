@@ -6,12 +6,10 @@ use std::fmt;
 
 /// Identifier of a signal (a wire of the netlist).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SignalId(pub u32);
 
 /// Identifier of a gate.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GateId(pub u32);
 
 impl SignalId {
@@ -42,7 +40,6 @@ impl fmt::Debug for GateId {
 
 /// The function a gate computes.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GateKind {
     /// Buffer (1 input).
     Buf,
@@ -111,7 +108,6 @@ impl fmt::Display for GateKind {
 
 /// A single-output gate instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gate {
     /// Instance name.
     pub name: String,
@@ -125,7 +121,6 @@ pub struct Gate {
 
 /// What drives a signal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Driver {
     /// Nothing yet (invalid in a validated netlist).
     None,
@@ -203,7 +198,6 @@ impl Error for NetlistError {}
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Netlist {
     name: String,
     signal_names: Vec<String>,

@@ -27,7 +27,6 @@ pub use stats::{mean, Summary};
 
 /// A titled table with a header row and data rows.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -139,7 +138,6 @@ impl fmt::Display for Table {
 /// callers convert the engine's worker stats into rows and render them
 /// with [`worker_table`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkerRow {
     /// Worker index (0-based).
     pub worker: usize,

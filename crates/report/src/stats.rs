@@ -10,7 +10,6 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Five-number-ish summary of a sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

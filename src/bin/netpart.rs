@@ -7,7 +7,6 @@
 //!                     [--threshold T] [--runs N] [--epsilon E] [--seed S]
 //!                     [--budget-ms MS] [--jobs N] [--cache] [--certify-out C.cert]
 //!                     [--multilevel] [--max-levels N] [--coarsen-ratio R]
-//!                     [--par-refine]
 //! netpart kway        <file.blif> [--replication none|functional] [--threshold T]
 //!                     [--candidates N] [--max-attempts N] [--seed S] [--refine]
 //!                     [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N]
@@ -163,7 +162,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--par-refine] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
+        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
     );
     std::process::exit(2)
 }
@@ -178,7 +177,6 @@ struct Flags {
     max_attempts: Option<usize>,
     budget_ms: Option<u64>,
     refine: bool,
-    par_refine: bool,
     assign: Option<String>,
     dff: usize,
     jobs: usize,
@@ -220,7 +218,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
         max_attempts: None,
         budget_ms: None,
         refine: false,
-        par_refine: false,
         assign: None,
         dff: 0,
         jobs: 1,
@@ -280,7 +277,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
             "--netlist" => f.netlist = Some(val()?.clone()),
             "--board" => f.board = Some(val()?.clone()),
             "--refine" => f.refine = true,
-            "--par-refine" => f.par_refine = true,
             "--assign" => f.assign = Some(val()?.clone()),
             "--id" => f.id = Some(val()?.clone()),
             "--cmd" => f.cmd = val()?.clone(),
@@ -635,14 +631,13 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .with_budget(budget_of(f));
     let runs = f.runs.max(1);
     let ml = ml_of(f);
-    if f.jobs > 1 || f.cache || ml.is_some() || f.par_refine || Obs::active(f) {
+    if f.jobs > 1 || f.cache || ml.is_some() || Obs::active(f) {
         // Portfolio engine path: same printed solution as the
         // sequential harness for a fixed seed, by the engine's
         // determinism contract. Observability flags force this path
         // even at --jobs 1 so the emission pipeline (and the stripped
         // trace) is identical at every jobs level; --multilevel always
-        // routes here so the V-cycle keeps the engine's invariance,
-        // and --par-refine needs the engine's worker pool.
+        // routes here so the V-cycle keeps the engine's invariance.
         let obs = Obs::from_flags(f)?;
         let engine = Engine::new(f.jobs)
             .with_cache(f.cache)
@@ -662,40 +657,18 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             "best run: areas {:?}, {} passes, balanced: {}, stop: {}",
             best.areas, best.passes, best.balanced, best.stop
         );
-        // Post-portfolio polish: refine the winner in place with the
-        // deterministic parallel refiner, then certify the refined
-        // solution. Skipped (with a note) when the winner replicates.
-        let mut refined = None;
-        if f.par_refine {
-            let mut b = best.clone();
-            match engine.par_refine(&hg, &cfg, &mut b) {
-                Some(out) => {
-                    println!(
-                        "par-refine: cut {} -> {} ({} committed over {} rounds)",
-                        out.cut_before, out.cut_after, out.committed, out.rounds
-                    );
-                    refined = Some(b);
-                }
-                None => println!("par-refine: skipped (winner has replicas)"),
-            }
-        }
         note_workers(&stats.workers);
         note_cache(&engine);
         let mut routed = None;
         if let Some(spec) = &f.board {
-            let placement = match &refined {
-                Some(b) => b.placement.as_ref(),
-                None => best.placement.as_ref(),
-            }
-            .ok_or("nothing to route: the winning run exported no placement")?;
+            let placement = best
+                .placement
+                .as_ref()
+                .ok_or("nothing to route: the winning run exported no placement")?;
             routed = Some(route_board(spec, &hg, placement, Some(&obs.recorder))?);
         }
         if let Some(out) = &f.certify_out {
-            let cert = match &refined {
-                Some(b) => b.certificate(&hg, cfg.seed.wrapping_add(stats.best_start() as u64)),
-                None => stats.certificate(&hg, &cfg),
-            };
-            write_certificate(attach_board(cert, routed), out, path)?;
+            write_certificate(attach_board(stats.certificate(&hg, &cfg), routed), out, path)?;
         }
         obs.finish(f, "bipartition", path, &[("runs", runs.to_string())])?;
         return Ok(());

@@ -2,9 +2,11 @@
 //! must agree exactly with the engine's cut-delta computation, on random
 //! mapped circuits and random placements.
 //!
-//! Gated behind the `proptest-tests` feature: `proptest` is a registry
-//! dependency and the default build must stay hermetic (see Cargo.toml).
-#![cfg(feature = "proptest-tests")]
+//! Hand-rolled generators over `netpart-rng`, in the style of
+//! `tests/props_board.rs`: each property draws [`CASES`] `(seed,
+//! side_seed)` pairs from its own fixed stream, and every assertion
+//! message names the pair, so a failure is a two-integer reproducer
+//! (`mapped_with_sides(gates, dffs, seed, side_seed)`).
 
 use netpart::core::gain::{
     best_functional_gain, extract_vectors, functional_gain, single_move_gain, traditional_gain,
@@ -12,7 +14,28 @@ use netpart::core::gain::{
 use netpart::core::{CellState, EngineState};
 use netpart::prelude::*;
 use netpart::verify::gen::mapped_with_sides;
-use proptest::prelude::*;
+use netpart_rng::Rng;
+use std::ops::Range;
+
+/// Accepted cases per property.
+const CASES: usize = 24;
+
+/// Cap on draws rejected by a property's precondition before the
+/// generator is declared unable to satisfy it.
+const MAX_REJECTS: usize = 1024;
+
+/// Draws [`CASES`] `(seed, side_seed)` pairs, uniform over
+/// `seeds × side_seeds`, from the fixed stream `stream`.
+fn seed_pairs(stream: u64, seeds: Range<u64>, side_seeds: Range<u64>) -> Vec<(u64, u64)> {
+    let mut rng = Rng::seed_from_u64(stream);
+    (0..CASES)
+        .map(|_| (draw(&mut rng, &seeds), draw(&mut rng, &side_seeds)))
+        .collect()
+}
+
+fn draw(rng: &mut Rng, range: &Range<u64>) -> u64 {
+    range.start + rng.gen_below(range.end - range.start)
+}
 
 /// True iff every pin of the cell is on a distinct net (the vector
 /// model's implicit assumption).
@@ -23,12 +46,10 @@ fn distinct_nets(hg: &Hypergraph, c: CellId) -> bool {
     nets.windows(2).all(|w| w[0] != w[1])
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Eq. 7 (single move) equals the engine's exact delta for every cell.
-    #[test]
-    fn eq7_matches_engine(seed in 0u64..1000, side_seed in 1u64..1000) {
+/// Eq. 7 (single move) equals the engine's exact delta for every cell.
+#[test]
+fn eq7_matches_engine() {
+    for (seed, side_seed) in seed_pairs(7, 0..1000, 1..1000) {
         let (hg, sides) = mapped_with_sides(120, 8, seed, side_seed);
         let engine = EngineState::new(&hg, &sides);
         for c in hg.cell_ids() {
@@ -39,13 +60,15 @@ proptest! {
             let side = sides[c.0 as usize];
             let formula = single_move_gain(&v);
             let exact = engine.peek_gain(c, CellState::Single { side: 1 - side });
-            prop_assert_eq!(formula, exact, "cell {:?}", c);
+            assert_eq!(formula, exact, "case ({seed}, {side_seed}) cell {c:?}");
         }
     }
+}
 
-    /// Eq. 8 (traditional replication) equals the engine's exact delta.
-    #[test]
-    fn eq8_matches_engine(seed in 0u64..1000, side_seed in 1u64..1000) {
+/// Eq. 8 (traditional replication) equals the engine's exact delta.
+#[test]
+fn eq8_matches_engine() {
+    for (seed, side_seed) in seed_pairs(8, 0..1000, 1..1000) {
         let (hg, sides) = mapped_with_sides(120, 8, seed, side_seed);
         let engine = EngineState::new(&hg, &sides);
         for c in hg.cell_ids() {
@@ -56,14 +79,16 @@ proptest! {
             let side = sides[c.0 as usize];
             let formula = traditional_gain(&v);
             let exact = engine.peek_gain(c, CellState::Traditional { orig_side: side });
-            prop_assert_eq!(formula, exact, "cell {:?}", c);
+            assert_eq!(formula, exact, "case ({seed}, {side_seed}) cell {c:?}");
         }
     }
+}
 
-    /// Eqs. 9–11 (functional replication) equal the engine's exact delta
-    /// for every replica-output choice.
-    #[test]
-    fn eq9_to_11_match_engine(seed in 0u64..1000, side_seed in 1u64..1000) {
+/// Eqs. 9–11 (functional replication) equal the engine's exact delta
+/// for every replica-output choice.
+#[test]
+fn eq9_to_11_match_engine() {
+    for (seed, side_seed) in seed_pairs(9, 0..1000, 1..1000) {
         let (hg, sides) = mapped_with_sides(120, 8, seed, side_seed);
         let engine = EngineState::new(&hg, &sides);
         for c in hg.cell_ids() {
@@ -83,52 +108,79 @@ proptest! {
                         replica_mask: 1 << o,
                     },
                 );
-                prop_assert_eq!(formula, exact, "cell {:?} output {}", c, o);
+                assert_eq!(
+                    formula, exact,
+                    "case ({seed}, {side_seed}) cell {c:?} output {o}"
+                );
                 best_engine = best_engine.max(exact);
             }
             let (_, g) = best_functional_gain(cell.adjacency(), &v).expect("m >= 2");
-            prop_assert_eq!(g, best_engine, "eq. 11 takes the max (cell {:?})", c);
+            assert_eq!(
+                g, best_engine,
+                "case ({seed}, {side_seed}): eq. 11 takes the max (cell {c:?})"
+            );
         }
     }
+}
 
-    /// Applying any single state change realizes exactly the peeked gain,
-    /// and incremental bookkeeping matches a from-scratch rebuild.
-    #[test]
-    fn realized_gain_matches_peek(seed in 0u64..500, side_seed in 1u64..500, pick in 0usize..64) {
+/// Applying any single state change realizes exactly the peeked gain,
+/// and incremental bookkeeping matches a from-scratch rebuild.
+#[test]
+fn realized_gain_matches_peek() {
+    let mut rng = Rng::seed_from_u64(10);
+    let (mut accepted, mut rejected) = (0, 0);
+    while accepted < CASES {
+        let seed = draw(&mut rng, &(0..500));
+        let side_seed = draw(&mut rng, &(1..500));
+        let pick = rng.gen_range(0..64);
         let (hg, sides) = mapped_with_sides(80, 6, seed, side_seed);
         let mut engine = EngineState::new(&hg, &sides);
         let logic: Vec<CellId> = hg
             .cell_ids()
             .filter(|&c| !hg.cell(c).is_terminal() && hg.cell(c).m_outputs() >= 2)
             .collect();
-        prop_assume!(!logic.is_empty());
+        if logic.is_empty() {
+            rejected += 1;
+            assert!(
+                rejected < MAX_REJECTS,
+                "too few circuits with multi-output cells"
+            );
+            continue;
+        }
+        accepted += 1;
+        let case = format!("case ({seed}, {side_seed}) pick {pick}");
         let c = logic[pick % logic.len()];
         let side = sides[c.0 as usize];
         for st in [
             CellState::Single { side: 1 - side },
-            CellState::Functional { orig_side: side, replica_mask: 1 },
+            CellState::Functional {
+                orig_side: side,
+                replica_mask: 1,
+            },
             CellState::Traditional { orig_side: side },
         ] {
             let peek = engine.peek_gain(c, st);
             let before = engine.cut();
             let realized = engine.set_state(c, st);
-            prop_assert_eq!(peek, realized);
-            prop_assert_eq!(engine.cut() as i64, before as i64 - realized);
-            prop_assert!(engine.validate(), "incremental state diverged");
+            assert_eq!(peek, realized, "{case}");
+            assert_eq!(engine.cut() as i64, before as i64 - realized, "{case}");
+            assert!(engine.validate(), "{case}: incremental state diverged");
             engine.set_state(c, CellState::Single { side });
-            prop_assert!(engine.validate());
-            prop_assert_eq!(engine.cut(), before);
+            assert!(engine.validate(), "{case}");
+            assert_eq!(engine.cut(), before, "{case}");
         }
     }
+}
 
-    /// Across full FM passes — not just single probes — every applied
-    /// move's realized cut delta equals the gain the selection structure
-    /// predicted, in all three replication modes and for both selection
-    /// strategies. `gain_repairs` counts exactly the applications whose
-    /// realized delta diverged from the selection-time prediction, so a
-    /// clean run means the incremental bucket updates never went stale.
-    #[test]
-    fn full_passes_never_go_stale(seed in 0u64..500, side_seed in 1u64..500) {
+/// Across full FM passes — not just single probes — every applied
+/// move's realized cut delta equals the gain the selection structure
+/// predicted, in all three replication modes and for both selection
+/// strategies. `gain_repairs` counts exactly the applications whose
+/// realized delta diverged from the selection-time prediction, so a
+/// clean run means the incremental bucket updates never went stale.
+#[test]
+fn full_passes_never_go_stale() {
+    for (seed, side_seed) in seed_pairs(11, 0..500, 1..500) {
         let (hg, _) = mapped_with_sides(140, 10, seed, side_seed);
         for mode in [
             ReplicationMode::None,
@@ -136,21 +188,23 @@ proptest! {
             ReplicationMode::functional(0),
         ] {
             for strategy in [SelectionStrategy::GainBuckets, SelectionStrategy::LazyHeap] {
+                let case = format!("case ({seed}, {side_seed}) {mode:?}/{strategy:?}");
                 let cfg = BipartitionConfig::equal(&hg, 0.1)
                     .with_seed(side_seed)
                     .with_replication(mode)
                     .with_selection(strategy);
                 let res = bipartition(&hg, &cfg);
-                prop_assert_eq!(
+                assert_eq!(
                     res.gain_repairs, 0,
-                    "{:?}/{:?}: {} applied moves diverged from predicted gain",
-                    mode, strategy, res.gain_repairs
+                    "{case}: {} applied moves diverged from predicted gain",
+                    res.gain_repairs
                 );
-                prop_assert!(res.balanced, "{:?}/{:?}: unbalanced", mode, strategy);
+                assert!(res.balanced, "{case}: unbalanced");
                 if let Some(p) = &res.placement {
-                    prop_assert_eq!(
-                        p.cut_size(&hg), res.cut,
-                        "{:?}/{:?}: reported cut disagrees with placement", mode, strategy
+                    assert_eq!(
+                        p.cut_size(&hg),
+                        res.cut,
+                        "{case}: reported cut disagrees with placement"
                     );
                 }
             }
