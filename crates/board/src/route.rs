@@ -47,7 +47,7 @@ pub struct Routing {
     pub loads: Vec<u32>,
     /// Total hop cost: Σ over routes Σ channel hop.
     pub hops: u64,
-    /// Total congestion: Σ_c max(0, loads[c] − capacity[c]).
+    /// Total congestion: Σ_c max(0, loads\[c\] − capacity\[c\]).
     pub congestion: u64,
 }
 

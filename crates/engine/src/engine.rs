@@ -79,7 +79,7 @@ impl Engine {
 
     /// Attaches a telemetry recorder: portfolio runs launched through
     /// this engine emit their deterministic trace into it (see
-    /// [`portfolio_bipartition_traced`](crate::portfolio_bipartition_traced)),
+    /// [`portfolio_bipartition_ml_traced`](crate::portfolio_bipartition_ml_traced)),
     /// and cache lookups emit
     /// `engine.cache` hit/miss events.
     #[must_use]

@@ -40,6 +40,6 @@ pub use hash::{combine, ContentHash, Fnv1a};
 pub use incumbent::Incumbent;
 pub use portfolio::{
     bipartition_key, kway_key, portfolio_bipartition, portfolio_bipartition_ml_traced,
-    portfolio_bipartition_traced, portfolio_kway, portfolio_kway_ml_traced, portfolio_kway_traced,
-    with_multilevel_key, KWayPortfolioResult, PortfolioResult, StartResult, WorkerStats,
+    portfolio_kway, portfolio_kway_ml_traced, with_multilevel_key, KWayPortfolioResult,
+    PortfolioResult, StartResult, WorkerStats,
 };

@@ -1,32 +1,36 @@
 //! The deterministic parallel portfolio: multi-start FM and k-way
 //! carving fanned across `std::thread` workers.
 //!
+//! Both portfolios run on one worker pool. A *unit* is one seeded
+//! bipartition *start* or one k-way carving *task*.
+//!
 //! # Determinism model
 //!
-//! Every unit of work (a *start*: one seeded bipartition, or one k-way
-//! carving *task*) is atomic — it either runs to completion and is
-//! recorded, or it is excluded entirely. Workers claim starts from an
-//! ascending atomic counter, so start `i` always begins no later than
-//! any start `j > i` is claimed; results land in index-addressed slots
-//! and the winner is reduced in **fixed seed order** (lowest `(cost,
-//! index)` wins), never in arrival order. Three consequences:
+//! Workers claim units from an ascending atomic counter, so unit `i`
+//! always begins no later than any unit `j > i` is claimed; results land
+//! in index-addressed slots and the winner is reduced in **fixed seed
+//! order** (lowest `(cost, index)` wins), never in arrival order. Three
+//! consequences:
 //!
-//! * **Fault-free, unbudgeted runs** record all `n` starts and are
+//! * **Fault-free, unbudgeted runs** record all `n` units and are
 //!   byte-identical for every `--jobs` level: the recorded set and the
 //!   reduction are both independent of thread interleaving.
 //! * **Zero-wall-budget runs** record exactly the guaranteed first
-//!   start (whose clock carries no deadline) at every `--jobs` level —
+//!   unit (whose clock carries no deadline) at every `--jobs` level —
 //!   degraded, and still byte-identical.
 //! * **Mid-flight wall trips** are inherently timing-dependent: which
-//!   starts finished before the deadline varies. The engine still
-//!   guarantees that every *recorded* start is bitwise-deterministic
-//!   (per-start clocks, no shared move pool) and that the reduction
-//!   over the recorded set follows fixed seed order — the strongest
-//!   guarantee a physical clock allows.
+//!   units finished before the deadline varies. A unit that runs into
+//!   the shared deadline cancels its siblings. A bipartition start cut
+//!   short that way (or by the cancel) is excluded; a k-way task cut
+//!   short that way is recorded with its degraded result. Every
+//!   recorded unit that the deadline did not reach is
+//!   bitwise-deterministic (per-unit clocks, no shared move pool), and
+//!   the reduction over the recorded set follows fixed seed order — the
+//!   strongest guarantee a physical clock allows.
 //!
-//! The shared [`Incumbent`] prunes only on *perfect* (zero-cost)
-//! incumbents: the claim counter is ascending, so when start `j`
-//! publishes cost 0 every unclaimed index exceeds `j` and can at best
+//! The shared [`Incumbent`] prunes only on *perfect* (zero-cut)
+//! bipartition starts: the claim counter is ascending, so when start `j`
+//! publishes cut 0 every unclaimed index exceeds `j` and can at best
 //! tie — and ties break toward the lower index. Recorded results above
 //! the perfect index are discarded after the join, making even the
 //! early-exit set identical across `--jobs` levels.
@@ -35,14 +39,15 @@ use crate::hash::{ContentHash, Fnv1a};
 use crate::incumbent::Incumbent;
 use netpart_core::{
     kway_partition_with_clock, run_start, BipartitionConfig, BipartitionResult, Budget,
-    CancelToken, Degradation, KWayConfig, KWayResult, PartitionError, RunClock, StopReason,
+    CancelToken, Degradation, FaultPlan, KWayConfig, KWayResult, PartitionError, RunClock,
+    StopReason,
 };
 use netpart_hypergraph::Hypergraph;
 use netpart_multilevel::{ml_kway_partition_with_clock, ml_run_start, MultilevelConfig};
 use netpart_obs::{BufferRecorder, Event, Level, NoopRecorder, Recorder, Span, TIMING_SCOPE};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A shareable no-op recorder for the untraced entry points.
@@ -218,23 +223,236 @@ impl PortfolioResult {
     }
 }
 
-/// What one worker decided about one claimed start.
-enum StartOutcome {
-    /// Ran to completion (or deterministic per-start truncation):
-    /// recorded.
-    Recorded(BipartitionResult),
-    /// Truncated by the shared deadline or a cancellation: excluded.
-    Truncated,
-}
-
-/// Caps the packable start index (the [`Incumbent`] packs indices into
+/// Caps the packable unit index (the [`Incumbent`] packs indices into
 /// 32 bits).
 const MAX_STARTS: usize = u32::MAX as usize >> 1;
 
-fn shared_deadline(budget: &Budget) -> Option<Instant> {
-    budget
-        .wall_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms))
+/// What a unit body reports back to the [`Pool`] when it returns.
+struct Ran<T> {
+    /// The unit's outcome, kept in its slot if the unit is recorded.
+    out: T,
+    /// FM passes to add to [`WorkerStats::passes`].
+    passes: u64,
+    /// Why the unit stopped; the pool acts on a budget, fault or
+    /// cancellation stop and ignores the rest.
+    stop: Option<StopReason>,
+    /// Whether the unit came back without a solution (a cutoff hit).
+    empty: bool,
+    /// The unit's cost to offer the shared [`Incumbent`]. Once a
+    /// recorded unit offers 0, no higher unit is claimed; `None` offers
+    /// nothing.
+    cost: Option<u64>,
+}
+
+/// The worker pool both portfolios run on: `units` seeded units of
+/// work claimed in ascending order by `jobs` threads.
+///
+/// Unit 0 is the first-start guarantee: its clock carries neither the
+/// shared deadline nor the cancel token. Every other unit is skipped
+/// once the deadline has passed, a sibling cancelled, or a recorded
+/// unit is perfect. `per_unit.max_moves` and `fault` apply to each
+/// unit alone, so they trip at deterministic points.
+struct Pool<'a> {
+    units: usize,
+    jobs: usize,
+    deadline: Option<Instant>,
+    per_unit: Budget,
+    fault: &'a FaultPlan,
+    /// Whether a unit cut short by the shared deadline (or by a sibling
+    /// cancelling on it) is still recorded. Which units finish before a
+    /// physical deadline depends on the interleaving either way.
+    keep_cut_short: bool,
+    recorder: &'a Arc<dyn Recorder>,
+}
+
+/// A unit's recorded outcome and its buffered events.
+type Slot<T> = Option<(T, Vec<Event>)>;
+
+/// What the workers of one [`Pool`] run share.
+struct Shared<T> {
+    cancel: CancelToken,
+    incumbent: Incumbent,
+    next: AtomicUsize,
+    budget_seen: AtomicBool,
+    fault_seen: AtomicBool,
+    slots: Vec<Mutex<Slot<T>>>,
+}
+
+/// What a [`Pool`] run leaves behind.
+struct Pooled<T> {
+    /// Per unit index: the recorded outcome and its buffered events, or
+    /// `None` for a unit that was skipped, lost or excluded.
+    slots: Vec<Slot<T>>,
+    workers: Vec<WorkerStats>,
+    budget_seen: bool,
+    fault_seen: bool,
+}
+
+impl<'a> Pool<'a> {
+    /// A pool whose shared deadline starts now: `budget.wall_ms` bounds
+    /// every run of this pool together, `budget.max_moves` each unit.
+    fn new(
+        units: usize,
+        jobs: usize,
+        budget: &Budget,
+        fault: &'a FaultPlan,
+        keep_cut_short: bool,
+        recorder: &'a Arc<dyn Recorder>,
+    ) -> Self {
+        Pool {
+            units,
+            jobs: jobs.clamp(1, units),
+            deadline: budget
+                .wall_ms
+                .map(|ms| Instant::now() + Duration::from_millis(ms)),
+            per_unit: Budget {
+                wall_ms: None,
+                max_moves: budget.max_moves,
+            },
+            fault,
+            keep_cut_short,
+            recorder,
+        }
+    }
+
+    /// Runs `body(index, clock)` for every unit that is claimed and not
+    /// skipped. Each unit's events go to its own buffer and come back
+    /// with its slot, for the caller to replay in index order.
+    fn run<T: Send>(&self, body: impl Fn(usize, &RunClock) -> Ran<T> + Sync) -> Pooled<T> {
+        let shared = Shared {
+            cancel: CancelToken::new(),
+            incumbent: Incumbent::new(),
+            next: AtomicUsize::new(0),
+            budget_seen: AtomicBool::new(false),
+            fault_seen: AtomicBool::new(false),
+            slots: (0..self.units).map(|_| Mutex::new(None)).collect(),
+        };
+        let workers = std::thread::scope(|scope| {
+            let (shared, body) = (&shared, &body);
+            let handles: Vec<_> = (0..self.jobs)
+                .map(|w| scope.spawn(move || self.work(w, shared, body)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_default())
+                .collect()
+        });
+        Pooled {
+            slots: shared
+                .slots
+                .into_iter()
+                .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+                .collect(),
+            workers,
+            budget_seen: shared.budget_seen.into_inner(),
+            fault_seen: shared.fault_seen.into_inner(),
+        }
+    }
+
+    /// One worker: claims units until none are left or it is stopped.
+    fn work<T>(
+        &self,
+        w: usize,
+        shared: &Shared<T>,
+        body: &impl Fn(usize, &RunClock) -> Ran<T>,
+    ) -> WorkerStats {
+        let recorder = self.recorder.as_ref();
+        // Worker lifecycle span: presence and interleaving depend on
+        // scheduling, so it rides the reserved timing scope and is
+        // stripped whole-line.
+        let _worker_span = Span::enter_with(recorder, TIMING_SCOPE, "worker", "worker", w);
+        let mut stats = WorkerStats {
+            worker: w,
+            ..WorkerStats::default()
+        };
+        loop {
+            let i = shared.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.units {
+                break;
+            }
+            record_claim(recorder, w, i);
+            if i > 0 {
+                // A perfect incumbent makes every unclaimed (higher)
+                // index provably useless.
+                if shared.incumbent.is_perfect() || shared.cancel.is_cancelled() {
+                    stats.cutoff_hits += 1;
+                    break;
+                }
+                if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                    shared.budget_seen.store(true, Ordering::Release);
+                    shared.cancel.cancel();
+                    stats.cutoff_hits += 1;
+                    break;
+                }
+            }
+            if self.fault.kill_start == Some(i as u64) {
+                // The worker "dies" before running the unit; the unit is
+                // lost, siblings carry on.
+                shared.fault_seen.store(true, Ordering::Release);
+                stats.cutoff_hits += 1;
+                break;
+            }
+            let buffer = Arc::new(BufferRecorder::mirroring(recorder));
+            let (deadline, cancel) = match i {
+                0 => (None, None),
+                _ => (self.deadline, Some(shared.cancel.clone())),
+            };
+            let clock = RunClock::with_shared(&self.per_unit, self.fault, deadline, cancel)
+                .with_recorder(buffer.clone());
+            let run_t0 = Instant::now();
+            let panic_here = self.fault.panic_in_worker == Some(i as u64);
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                assert!(!panic_here, "injected worker panic at unit {i}");
+                body(i, &clock)
+            }));
+            stats.moves += clock.moves();
+            stats.wall_ms += run_t0.elapsed().as_millis() as u64;
+            let Ok(ran) = ran else {
+                // A panicking worker thread is dead; the pool records the
+                // loss and joins cleanly.
+                shared.fault_seen.store(true, Ordering::Release);
+                stats.cutoff_hits += 1;
+                break;
+            };
+            stats.passes += ran.passes;
+            stats.starts += 1;
+            let budget = ran.stop == Some(StopReason::BudgetExhausted);
+            if budget {
+                shared.budget_seen.store(true, Ordering::Release);
+            }
+            if ran.stop == Some(StopReason::FaultInjected) {
+                shared.fault_seen.store(true, Ordering::Release);
+            }
+            // A budget stop comes from the shared deadline
+            // (interleaving-dependent) or the per-unit move limit
+            // (deterministic); `tick_move` checks the move limit first, so
+            // a move-limit trip always shows the full count. Only a
+            // deadline trip cancels the siblings, which carry their own
+            // move limits.
+            let wall_trip = budget
+                && deadline.is_some()
+                && self.per_unit.max_moves.is_none_or(|m| clock.moves() < m);
+            if wall_trip {
+                shared.cancel.cancel();
+            }
+            let cut_short = wall_trip || ran.stop == Some(StopReason::Cancelled);
+            let excluded = cut_short && !self.keep_cut_short;
+            if excluded || ran.empty {
+                stats.cutoff_hits += 1;
+            }
+            if excluded {
+                continue;
+            }
+            if let Some(cost) = ran.cost {
+                shared.incumbent.offer(cost, i);
+            }
+            if let Ok(mut slot) = shared.slots[i].lock() {
+                *slot = Some((ran.out, buffer.take()));
+            }
+        }
+        record_worker(recorder, &stats);
+        stats
+    }
 }
 
 /// Runs `n` seeded bipartition starts (seeds `base.seed + 0..n`) across
@@ -262,33 +480,25 @@ pub fn portfolio_bipartition(
     n: usize,
     jobs: usize,
 ) -> Result<PortfolioResult, PartitionError> {
-    portfolio_bipartition_traced(hg, base, n, jobs, &noop_recorder())
+    portfolio_bipartition_ml_traced(hg, base, n, jobs, None, &noop_recorder())
 }
 
-/// [`portfolio_bipartition`] with telemetry: per-start events (FM pass
-/// trajectories, run summaries) are buffered on each worker and
-/// **replayed into `recorder` in ascending start order after the
-/// join**, so the deterministic part of the trace is identical at every
-/// `jobs` level. Live scheduling events (claims, worker summaries) go
-/// straight to the recorder under the reserved
+/// [`portfolio_bipartition`] with telemetry and an optional multilevel
+/// V-cycle wrapped around every start.
+///
+/// Per-start events (FM pass trajectories, run summaries) are buffered
+/// on each worker and **replayed into `recorder` in ascending start
+/// order after the join**, so the deterministic part of the trace is
+/// identical at every `jobs` level. Live scheduling events (claims,
+/// worker summaries) go straight to the recorder under the reserved
 /// [`TIMING_SCOPE`] and are dropped by determinism checks.
-pub fn portfolio_bipartition_traced(
-    hg: &Hypergraph,
-    base: &BipartitionConfig,
-    n: usize,
-    jobs: usize,
-    recorder: &Arc<dyn Recorder>,
-) -> Result<PortfolioResult, PartitionError> {
-    portfolio_bipartition_ml_traced(hg, base, n, jobs, None, recorder)
-}
-
-/// [`portfolio_bipartition_traced`] with an optional multilevel
-/// V-cycle wrapped around every start: each start coarsens, partitions
-/// the coarsest graph with its derived seed, and refines up —
-/// [`ml_run_start`] derives seeds exactly like the flat
-/// [`run_start`], so the claim/record/reduce machinery (and with it
-/// jobs-invariance) is untouched. `ml = None` (or an `ml` whose chain
-/// comes up empty for this circuit) is the flat portfolio verbatim.
+///
+/// With `ml`, each start coarsens, partitions the coarsest graph with
+/// its derived seed, and refines up — [`ml_run_start`] derives seeds
+/// exactly like the flat [`run_start`], so the claim/record/reduce
+/// machinery (and with it jobs-invariance) is untouched. `ml = None`
+/// (or an `ml` whose chain comes up empty for this circuit) is the flat
+/// portfolio verbatim.
 pub fn portfolio_bipartition_ml_traced(
     hg: &Hypergraph,
     base: &BipartitionConfig,
@@ -313,173 +523,33 @@ pub fn portfolio_bipartition_ml_traced(
         ));
     }
     let t0 = Instant::now();
-    let jobs = jobs.clamp(1, n);
-    let deadline = shared_deadline(&base.budget);
-    // Per-start budgets carry the move limit but not the wall limit
-    // (the wall limit became the shared deadline above).
-    let per_start = Budget {
-        wall_ms: None,
-        max_moves: base.budget.max_moves,
-    };
-    let cancel = CancelToken::new();
-    let incumbent = Incumbent::new();
-    let next = AtomicUsize::new(0);
-    let budget_seen = AtomicBool::new(false);
-    let fault_seen = AtomicBool::new(false);
-    type BipartitionSlot = Option<(StartOutcome, Vec<Event>)>;
-    let slots: Vec<Mutex<BipartitionSlot>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let cancel = cancel.clone();
-                let (incumbent, next, slots) = (&incumbent, &next, &slots);
-                let (budget_seen, fault_seen) = (&budget_seen, &fault_seen);
-                let per_start = &per_start;
-                let recorder = &recorder;
-                scope.spawn(move || {
-                    // Worker lifecycle span: presence and interleaving
-                    // depend on scheduling, so it rides the reserved
-                    // timing scope and is stripped whole-line.
-                    let _worker_span =
-                        Span::enter_with(recorder.as_ref(), TIMING_SCOPE, "worker", "worker", w);
-                    let mut stats = WorkerStats {
-                        worker: w,
-                        ..WorkerStats::default()
-                    };
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        record_claim(recorder.as_ref(), w, i);
-                        if i > 0 {
-                            // A perfect incumbent makes every unclaimed
-                            // (higher) index provably useless.
-                            if incumbent.is_perfect() {
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                            if cancel.is_cancelled() {
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                budget_seen.store(true, Ordering::Release);
-                                cancel.cancel();
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        }
-                        if base.fault.kill_start == Some(i as u64) {
-                            // The worker "dies" before running the start;
-                            // the start is lost, siblings carry on.
-                            fault_seen.store(true, Ordering::Release);
-                            stats.cutoff_hits += 1;
-                            break;
-                        }
-                        let buffer: Arc<BufferRecorder> =
-                            Arc::new(BufferRecorder::mirroring(recorder.as_ref()));
-                        let clock = if i == 0 {
-                            RunClock::with_shared(per_start, &base.fault, None, None)
-                        } else {
-                            RunClock::with_shared(
-                                per_start,
-                                &base.fault,
-                                deadline,
-                                Some(cancel.clone()),
-                            )
-                        }
-                        .with_recorder(buffer.clone());
-                        let run_t0 = Instant::now();
-                        let panic_here = base.fault.panic_in_worker == Some(i as u64);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            assert!(!panic_here, "injected worker panic at start {i}");
-                            match ml {
-                                Some(m) => ml_run_start(hg, base, m, i as u64, &clock),
-                                None => run_start(hg, base, i as u64, &clock),
-                            }
-                        }));
-                        stats.moves += clock.moves();
-                        stats.wall_ms += run_t0.elapsed().as_millis() as u64;
-                        let res = match outcome {
-                            Ok(res) => res,
-                            Err(_) => {
-                                // A panicking worker thread is dead; the
-                                // portfolio records the loss and joins
-                                // cleanly.
-                                fault_seen.store(true, Ordering::Release);
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        };
-                        stats.passes += res.passes as u64;
-                        stats.starts += 1;
-                        // A BudgetExhausted stop can come from the shared
-                        // wall deadline (interleaving-dependent) or the
-                        // per-start move limit (deterministic); tell them
-                        // apart by whether the move limit was reached —
-                        // `tick_move` checks the move limit first, so a
-                        // move-limit trip always shows the full count.
-                        let wall_trip = res.stop == StopReason::BudgetExhausted
-                            && deadline.is_some()
-                            && i > 0
-                            && per_start.max_moves.is_none_or(|m| clock.moves() < m);
-                        let outcome = match res.stop {
-                            // Shared-deadline or cancellation truncation
-                            // is interleaving-dependent: exclude (except
-                            // the guaranteed first start, which carries
-                            // neither).
-                            StopReason::BudgetExhausted if wall_trip => {
-                                budget_seen.store(true, Ordering::Release);
-                                cancel.cancel();
-                                stats.cutoff_hits += 1;
-                                StartOutcome::Truncated
-                            }
-                            StopReason::Cancelled => {
-                                stats.cutoff_hits += 1;
-                                StartOutcome::Truncated
-                            }
-                            stop => {
-                                // Per-start move budgets and fault plans
-                                // trip at deterministic points: recorded.
-                                if stop == StopReason::BudgetExhausted {
-                                    budget_seen.store(true, Ordering::Release);
-                                }
-                                if stop == StopReason::FaultInjected {
-                                    fault_seen.store(true, Ordering::Release);
-                                }
-                                if res.balanced {
-                                    incumbent.offer(res.cut as u64, i);
-                                }
-                                StartOutcome::Recorded(res)
-                            }
-                        };
-                        if let Ok(mut slot) = slots[i].lock() {
-                            *slot = Some((outcome, buffer.take()));
-                        }
-                    }
-                    record_worker(recorder.as_ref(), &stats);
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
+    // A start cut short by the shared deadline is excluded: which
+    // starts the deadline reaches depends on the interleaving.
+    let pool = Pool::new(n, jobs, &base.budget, &base.fault, false, recorder);
+    let jobs = pool.jobs;
+    let pooled = pool.run(|i, clock| {
+        let res = match ml {
+            Some(m) => ml_run_start(hg, base, m, i as u64, clock),
+            None => run_start(hg, base, i as u64, clock),
+        };
+        Ran {
+            passes: res.passes as u64,
+            stop: Some(res.stop),
+            empty: false,
+            cost: res.balanced.then_some(res.cut as u64),
+            out: res,
+        }
     });
 
     // Deterministic reduction in fixed seed order.
-    let mut recorded: Vec<(StartResult, Vec<Event>)> = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        let outcome = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((StartOutcome::Recorded(result), events)) = outcome {
-            recorded.push((StartResult { index: i, result }, events));
-        }
-    }
+    let mut recorded: Vec<(StartResult, Vec<Event>)> = pooled
+        .slots
+        .into_iter()
+        .enumerate()
+        .filter_map(|(index, slot)| {
+            slot.map(|(result, events)| (StartResult { index, result }, events))
+        })
+        .collect();
     // Discard anything past a perfect winner, so the early-exit set is
     // jobs-invariant (starts past the winner were provably useless).
     let perfect_cutoff = recorded
@@ -540,8 +610,8 @@ pub fn portfolio_bipartition_ml_traced(
     let degradation = Degradation {
         requested,
         completed: results.len(),
-        budget_exhausted: budget_seen.load(Ordering::Acquire),
-        fault_injected: fault_seen.load(Ordering::Acquire),
+        budget_exhausted: pooled.budget_seen,
+        fault_injected: pooled.fault_seen,
         relaxations: Vec::new(),
     };
     let best_pos = results
@@ -571,7 +641,7 @@ pub fn portfolio_bipartition_ml_traced(
             results,
             best_pos,
             degradation,
-            workers,
+            workers: pooled.workers,
             wall: t0.elapsed(),
         }),
         None if degradation.budget_exhausted || degradation.fault_injected => {
@@ -626,215 +696,50 @@ impl KWayPortfolioResult {
         hg: &Hypergraph,
         cfg: &KWayConfig,
     ) -> netpart_verify::SolutionCertificate {
-        self.result.certificate(
-            hg,
-            &cfg.library,
-            cfg.seed.wrapping_add(self.winner as u64),
-        )
+        self.result
+            .certificate(hg, &cfg.library, cfg.seed.wrapping_add(self.winner as u64))
     }
 }
 
-/// The task-local configuration of k-way portfolio task `t` of `tasks`:
-/// a derived seed and a proportional share of the candidate/attempt
-/// pools. Depends only on `(cfg, t, tasks)` — never on `jobs` — so the
-/// task set is identical at every thread count.
-fn kway_task_config(cfg: &KWayConfig, t: usize, tasks: usize, escalate: bool) -> KWayConfig {
+/// Runs k-way portfolio task `t` of `tasks` on its pool clock: a
+/// derived seed and a proportional share of the candidate/attempt
+/// pools. The task depends only on `(cfg, t, tasks)` — never on `jobs`
+/// — so the task set is identical at every thread count.
+fn kway_task(
+    hg: &Hypergraph,
+    cfg: &KWayConfig,
+    t: usize,
+    tasks: usize,
+    escalate: bool,
+    ml: Option<&MultilevelConfig>,
+    clock: &RunClock,
+) -> Ran<Result<KWayResult, PartitionError>> {
     let mut task = cfg.clone();
     task.seed = cfg.seed.wrapping_add(t as u64);
     task.candidates = cfg.candidates.div_ceil(tasks).max(1);
     task.max_attempts = cfg.max_attempts.div_ceil(tasks).max(1);
     task.escalate = escalate;
-    task
-}
-
-struct KWayPhaseOutcome {
-    results: Vec<(usize, KWayResult)>,
-    errors: Vec<(usize, PartitionError)>,
-    /// Buffered per-task telemetry, `(task, events)`, for every task
-    /// whose slot was filled — replayed by the caller in task order.
-    events: Vec<(usize, Vec<Event>)>,
-    workers: Vec<WorkerStats>,
-    budget_seen: bool,
-    fault_seen: bool,
-}
-
-/// Runs every task of one phase across `jobs` workers. Task 0 runs
-/// without the shared wall deadline (the first-start guarantee); the
-/// rest drain through it and the cancel token.
-#[allow(clippy::too_many_arguments)]
-fn kway_phase(
-    hg: &Hypergraph,
-    cfg: &KWayConfig,
-    tasks: usize,
-    jobs: usize,
-    escalate: bool,
-    ml: Option<&MultilevelConfig>,
-    deadline: Option<Instant>,
-    recorder: &Arc<dyn Recorder>,
-) -> KWayPhaseOutcome {
-    let per_task = Budget {
-        wall_ms: None,
-        max_moves: cfg.budget.max_moves,
+    let out = match ml {
+        Some(m) => ml_kway_partition_with_clock(hg, &task, m, clock),
+        None => kway_partition_with_clock(hg, &task, clock),
     };
-    let cancel = CancelToken::new();
-    let next = AtomicUsize::new(0);
-    let budget_seen = AtomicBool::new(false);
-    let fault_seen = AtomicBool::new(false);
-    type KWaySlot = Option<(Result<KWayResult, PartitionError>, Vec<Event>)>;
-    let slots: Vec<Mutex<KWaySlot>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-
-    let workers: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs.clamp(1, tasks))
-            .map(|w| {
-                let cancel = cancel.clone();
-                let (next, slots) = (&next, &slots);
-                let (budget_seen, fault_seen) = (&budget_seen, &fault_seen);
-                let per_task = &per_task;
-                let recorder = &recorder;
-                scope.spawn(move || {
-                    // Worker lifecycle span: presence and interleaving
-                    // depend on scheduling, so it rides the reserved
-                    // timing scope and is stripped whole-line.
-                    let _worker_span =
-                        Span::enter_with(recorder.as_ref(), TIMING_SCOPE, "worker", "worker", w);
-                    let mut stats = WorkerStats {
-                        worker: w,
-                        ..WorkerStats::default()
-                    };
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks {
-                            break;
-                        }
-                        record_claim(recorder.as_ref(), w, t);
-                        if t > 0 {
-                            if cancel.is_cancelled() {
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                budget_seen.store(true, Ordering::Release);
-                                cancel.cancel();
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        }
-                        if cfg.fault.kill_start == Some(t as u64) {
-                            fault_seen.store(true, Ordering::Release);
-                            stats.cutoff_hits += 1;
-                            break;
-                        }
-                        let task_cfg = kway_task_config(cfg, t, tasks, escalate);
-                        let buffer: Arc<BufferRecorder> =
-                            Arc::new(BufferRecorder::mirroring(recorder.as_ref()));
-                        let clock = if t == 0 {
-                            RunClock::with_shared(per_task, &cfg.fault, None, None)
-                        } else {
-                            RunClock::with_shared(
-                                per_task,
-                                &cfg.fault,
-                                deadline,
-                                Some(cancel.clone()),
-                            )
-                        }
-                        .with_recorder(buffer.clone());
-                        let run_t0 = Instant::now();
-                        let panic_here = cfg.fault.panic_in_worker == Some(t as u64);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            assert!(!panic_here, "injected worker panic at task {t}");
-                            match ml {
-                                Some(m) => ml_kway_partition_with_clock(hg, &task_cfg, m, &clock),
-                                None => kway_partition_with_clock(hg, &task_cfg, &clock),
-                            }
-                        }));
-                        stats.moves += clock.moves();
-                        stats.wall_ms += run_t0.elapsed().as_millis() as u64;
-                        let res = match outcome {
-                            Ok(res) => res,
-                            Err(_) => {
-                                fault_seen.store(true, Ordering::Release);
-                                stats.cutoff_hits += 1;
-                                break;
-                            }
-                        };
-                        stats.starts += 1;
-                        // Like the bipartition phase: a per-task move
-                        // limit trips at a deterministic point, so
-                        // sibling tasks (which carry their own limits)
-                        // must still run for jobs-level invariance —
-                        // only the interleaving-dependent shared wall
-                        // deadline cancels them. `tick_move` checks the
-                        // move limit first, so a move-limit trip always
-                        // shows the full count.
-                        let wall_trip = deadline.is_some()
-                            && t > 0
-                            && per_task.max_moves.is_none_or(|m| clock.moves() < m);
-                        match &res {
-                            Ok(r) => {
-                                if r.degradation.budget_exhausted {
-                                    budget_seen.store(true, Ordering::Release);
-                                    if wall_trip {
-                                        cancel.cancel();
-                                    }
-                                }
-                                if r.degradation.fault_injected {
-                                    fault_seen.store(true, Ordering::Release);
-                                }
-                            }
-                            Err(PartitionError::BudgetExhausted { budget, .. }) => {
-                                stats.cutoff_hits += 1;
-                                if budget == "injected fault" {
-                                    fault_seen.store(true, Ordering::Release);
-                                } else {
-                                    budget_seen.store(true, Ordering::Release);
-                                    if wall_trip {
-                                        cancel.cancel();
-                                    }
-                                }
-                            }
-                            Err(_) => {}
-                        }
-                        if let Ok(mut slot) = slots[t].lock() {
-                            *slot = Some((res, buffer.take()));
-                        }
-                    }
-                    record_worker(recorder.as_ref(), &stats);
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-
-    let mut results = Vec::new();
-    let mut errors = Vec::new();
-    let mut events = Vec::new();
-    for (t, slot) in slots.into_iter().enumerate() {
-        match slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some((Ok(r), evs)) => {
-                results.push((t, r));
-                events.push((t, evs));
-            }
-            Some((Err(e), evs)) => {
-                errors.push((t, e));
-                events.push((t, evs));
-            }
-            None => {}
+    // A typed budget error is a task that came back empty; it names an
+    // injected fault by its budget text.
+    let (stop, empty) = match &out {
+        Ok(r) if r.degradation.budget_exhausted => (Some(StopReason::BudgetExhausted), false),
+        Ok(r) if r.degradation.fault_injected => (Some(StopReason::FaultInjected), false),
+        Err(PartitionError::BudgetExhausted { budget, .. }) if budget == "injected fault" => {
+            (Some(StopReason::FaultInjected), true)
         }
-    }
-    KWayPhaseOutcome {
-        results,
-        errors,
-        events,
-        workers,
-        budget_seen: budget_seen.load(Ordering::Acquire),
-        fault_seen: fault_seen.load(Ordering::Acquire),
+        Err(PartitionError::BudgetExhausted { .. }) => (Some(StopReason::BudgetExhausted), true),
+        _ => (None, false),
+    };
+    Ran {
+        out,
+        passes: 0,
+        stop,
+        empty,
+        cost: None,
     }
 }
 
@@ -877,7 +782,7 @@ pub fn portfolio_kway(
     tasks: usize,
     jobs: usize,
 ) -> Result<KWayPortfolioResult, PartitionError> {
-    portfolio_kway_traced(hg, cfg, tasks, jobs, &noop_recorder())
+    portfolio_kway_ml_traced(hg, cfg, tasks, jobs, None, &noop_recorder())
 }
 
 /// A short deterministic label for a task's typed error, for trace
@@ -891,46 +796,47 @@ fn error_label(e: &PartitionError) -> &'static str {
     }
 }
 
+type KWayTasks = Pooled<Result<KWayResult, PartitionError>>;
+
 /// Replays one k-way phase's buffered telemetry in ascending task
 /// order: a `portfolio.task` header, the task's buffered events, and
 /// the incumbent trajectory (with the paper-metric gauges) whenever the
 /// running best improves. Returns with `incumbent` updated.
 fn replay_kway_phase(
     recorder: &dyn Recorder,
-    phase: &KWayPhaseOutcome,
+    phase: &KWayTasks,
     phase_name: &'static str,
     lib: &netpart_fpga::DeviceLibrary,
     incumbent: &mut Option<(u64, f64)>,
 ) {
-    for (t, events) in &phase.events {
+    for (t, slot) in phase.slots.iter().enumerate() {
+        let Some((out, events)) = slot else { continue };
         if recorder.enabled(Level::Info) {
-            let mut e = Event::new("portfolio", "task", Level::Info)
-                .field("task", *t)
+            let e = Event::new("portfolio", "task", Level::Info)
+                .field("task", t)
                 .field("phase", phase_name);
-            if let Some((_, r)) = phase.results.iter().find(|(rt, _)| rt == t) {
-                e = e
+            recorder.record(&match out {
+                Ok(r) => e
                     .field("status", "ok")
                     .field("cost", r.evaluation.total_cost)
                     .field("kbar", r.evaluation.avg_iob_util)
                     .field("k", r.evaluation.k())
                     .field("attempts", r.attempts)
-                    .field("feasible", r.feasible_found);
-            } else if let Some((_, err)) = phase.errors.iter().find(|(et, _)| et == t) {
-                e = e.field("status", error_label(err));
-            }
-            recorder.record(&e);
+                    .field("feasible", r.feasible_found),
+                Err(err) => e.field("status", error_label(err)),
+            });
         }
         for ev in events {
             recorder.record(ev);
         }
-        if let Some((_, r)) = phase.results.iter().find(|(rt, _)| rt == t) {
+        if let Ok(r) = out {
             let key = (r.evaluation.total_cost, r.evaluation.avg_iob_util);
             if incumbent.is_none_or(|best| key < best) {
                 *incumbent = Some(key);
                 if recorder.enabled(Level::Info) {
                     recorder.record(
                         &Event::new("portfolio", "incumbent", Level::Info)
-                            .field("task", *t)
+                            .field("task", t)
                             .field("cost", r.evaluation.total_cost)
                             .field("kbar", r.evaluation.avg_iob_util)
                             .field("k", r.evaluation.k()),
@@ -942,25 +848,15 @@ fn replay_kway_phase(
     }
 }
 
-/// [`portfolio_kway`] with telemetry, under the same replay contract as
-/// [`portfolio_bipartition_traced`]: per-task events are buffered on
-/// the workers and replayed in ascending task order after each phase
-/// joins, so fixed-seed traces are identical at every `jobs` level
-/// (wall-budgeted runs excepted — which tasks survive a mid-flight
-/// deadline is inherently timing-dependent, exactly as for results).
-pub fn portfolio_kway_traced(
-    hg: &Hypergraph,
-    cfg: &KWayConfig,
-    tasks: usize,
-    jobs: usize,
-    recorder: &Arc<dyn Recorder>,
-) -> Result<KWayPortfolioResult, PartitionError> {
-    portfolio_kway_ml_traced(hg, cfg, tasks, jobs, None, recorder)
-}
-
-/// [`portfolio_kway_traced`] with an optional multilevel V-cycle
-/// wrapped around every carving task (see
-/// [`portfolio_bipartition_ml_traced`]). `ml = None` is the flat
+/// [`portfolio_kway`] with telemetry and an optional multilevel V-cycle
+/// wrapped around every carving task.
+///
+/// The replay contract is [`portfolio_bipartition_ml_traced`]'s:
+/// per-task events are buffered on the workers and replayed in
+/// ascending task order after each phase joins, so fixed-seed traces
+/// are identical at every `jobs` level (wall-budgeted runs excepted —
+/// which tasks finish before a mid-flight deadline is inherently
+/// timing-dependent, exactly as for results). `ml = None` is the flat
 /// portfolio verbatim; task seeding, phases and the reduction are
 /// identical either way.
 pub fn portfolio_kway_ml_traced(
@@ -982,7 +878,9 @@ pub fn portfolio_kway_ml_traced(
         )));
     }
     let t0 = Instant::now();
-    let deadline = shared_deadline(&cfg.budget);
+    // One pool for both phases, so they share one deadline. A task cut
+    // short by that deadline is recorded with its degraded result.
+    let pool = Pool::new(tasks, jobs, &cfg.budget, &cfg.fault, true, recorder);
     let mut workers = Vec::new();
 
     if recorder.enabled(Level::Info) {
@@ -995,40 +893,35 @@ pub fn portfolio_kway_ml_traced(
         );
     }
     let mut incumbent: Option<(u64, f64)> = None;
-    let phase_a = kway_phase(hg, cfg, tasks, jobs, false, ml, deadline, recorder);
-    replay_kway_phase(
-        recorder.as_ref(),
-        &phase_a,
-        "base",
-        &cfg.library,
-        &mut incumbent,
-    );
-    let mut budget_seen = phase_a.budget_seen;
-    let mut fault_seen = phase_a.fault_seen;
-    let mut errors = phase_a.errors;
-    let mut picked = phase_a.results;
-    let mut rescued = false;
-    merge_worker_stats(&mut workers, phase_a.workers);
-
-    if picked.is_empty() && !budget_seen && !fault_seen && cfg.escalate {
+    let mut replay = |phase: &KWayTasks, name| {
+        replay_kway_phase(recorder.as_ref(), phase, name, &cfg.library, &mut incumbent);
+    };
+    let mut phase = pool.run(|t, clock| kway_task(hg, cfg, t, tasks, false, ml, clock));
+    replay(&phase, "base");
+    let (mut budget_seen, mut fault_seen) = (phase.budget_seen, phase.fault_seen);
+    let feasible = phase.slots.iter().any(|s| matches!(s, Some((Ok(_), _))));
+    let rescued = !feasible && !budget_seen && !fault_seen && cfg.escalate;
+    if rescued {
         // Rescue phase: nothing feasible anywhere — climb the ladder.
-        rescued = true;
         if recorder.enabled(Level::Info) {
             recorder.record(&Event::new("portfolio", "rescue", Level::Info).field("tasks", tasks));
         }
-        let phase_b = kway_phase(hg, cfg, tasks, jobs, true, ml, deadline, recorder);
-        replay_kway_phase(
-            recorder.as_ref(),
-            &phase_b,
-            "rescue",
-            &cfg.library,
-            &mut incumbent,
-        );
-        budget_seen |= phase_b.budget_seen;
-        fault_seen |= phase_b.fault_seen;
-        errors = phase_b.errors;
-        picked = phase_b.results;
-        merge_worker_stats(&mut workers, phase_b.workers);
+        merge_worker_stats(&mut workers, phase.workers);
+        phase = pool.run(|t, clock| kway_task(hg, cfg, t, tasks, true, ml, clock));
+        replay(&phase, "rescue");
+        budget_seen |= phase.budget_seen;
+        fault_seen |= phase.fault_seen;
+    }
+    merge_worker_stats(&mut workers, phase.workers);
+
+    let mut picked = Vec::new();
+    let mut errors = Vec::new();
+    for (t, slot) in phase.slots.into_iter().enumerate() {
+        match slot {
+            Some((Ok(r), _)) => picked.push((t, r)),
+            Some((Err(e), _)) => errors.push((t, e)),
+            None => {}
+        }
     }
 
     let feasible_tasks = picked.len();

@@ -186,7 +186,7 @@ fn trace_skeleton_is_jobs_invariant() {
     // event in a BufferRecorder at each jobs level, reduce each event
     // to its deterministic skeleton (drop reserved-scope events, drop
     // timing fields), and demand identical JSONL.
-    use netpart_engine::{portfolio_bipartition_traced, portfolio_kway_traced};
+    use netpart_engine::{portfolio_bipartition_ml_traced, portfolio_kway_ml_traced};
     use netpart_obs::{to_jsonl, BufferRecorder, Recorder};
     use std::sync::Arc;
 
@@ -207,7 +207,8 @@ fn trace_skeleton_is_jobs_invariant() {
     let trace_bipartition = |jobs: usize| -> String {
         let buffer = Arc::new(BufferRecorder::new());
         let recorder: Arc<dyn Recorder> = Arc::clone(&buffer) as Arc<dyn Recorder>;
-        portfolio_bipartition_traced(&hg, &cfg, 6, jobs, &recorder).expect("portfolio runs");
+        portfolio_bipartition_ml_traced(&hg, &cfg, 6, jobs, None, &recorder)
+            .expect("portfolio runs");
         skeleton(&buffer)
     };
     let reference = trace_bipartition(1);
@@ -225,7 +226,8 @@ fn trace_skeleton_is_jobs_invariant() {
     let trace_kway = |jobs: usize| -> String {
         let buffer = Arc::new(BufferRecorder::new());
         let recorder: Arc<dyn Recorder> = Arc::clone(&buffer) as Arc<dyn Recorder>;
-        portfolio_kway_traced(&hg, &kcfg, 3, jobs, &recorder).expect("kway portfolio runs");
+        portfolio_kway_ml_traced(&hg, &kcfg, 3, jobs, None, &recorder)
+            .expect("kway portfolio runs");
         skeleton(&buffer)
     };
     let kreference = trace_kway(1);

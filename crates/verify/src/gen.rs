@@ -2,7 +2,7 @@
 //! property harnesses.
 //!
 //! Promoted from the `tests/props_*` suites so the certificate
-//! differential tests, the proptest suites and the examples all draw
+//! differential tests, the property suites and the examples all draw
 //! from one source of truth. Everything here is a pure function of its
 //! seeds.
 

@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Paper metrics for the archive: route a small k-way portfolio
     // through a MetricsRecorder so the $_k / k̄ gauges and the device
     // histogram land in the same snapshot.
-    use netpart::engine::portfolio_kway_traced;
+    use netpart::engine::portfolio_kway_ml_traced;
     use netpart::obs::Recorder;
     use std::sync::Arc;
     let metrics = Arc::new(MetricsRecorder::new());
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_replication(ReplicationMode::functional(0));
     let t0 = Instant::now();
     let recorder: Arc<dyn Recorder> = Arc::clone(&metrics) as Arc<dyn Recorder>;
-    let k = portfolio_kway_traced(&hg, &kcfg, 3, 4, &recorder)?;
+    let k = portfolio_kway_ml_traced(&hg, &kcfg, 3, 4, None, &recorder)?;
     let kway_snap = metrics.snapshot();
     for (key, v) in &kway_snap.gauges {
         snap.set_gauge(key, *v);

@@ -5,12 +5,12 @@
 //! netpart stats       <file.blif>
 //! netpart bipartition <file.blif> [--replication none|traditional|functional]
 //!                     [--threshold T] [--runs N] [--epsilon E] [--seed S]
-//!                     [--budget-ms MS] [--jobs N] [--cache] [--certify-out C.cert]
+//!                     [--budget-ms MS] [--jobs N] [--certify-out C.cert]
 //!                     [--multilevel] [--max-levels N] [--coarsen-ratio R]
 //! netpart kway        <file.blif> [--replication none|functional] [--threshold T]
 //!                     [--candidates N] [--max-attempts N] [--seed S] [--refine]
 //!                     [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N]
-//!                     [--cache] [--certify-out C.cert]
+//!                     [--certify-out C.cert]
 //!                     [--multilevel] [--max-levels N] [--coarsen-ratio R]
 //! netpart verify      <file.cert> [--netlist file.blif]
 //! netpart serve       <spool-dir> [--drain] [--jobs N] [--max-queue N]
@@ -27,13 +27,15 @@
 //! ```
 //!
 //! `--jobs N` fans the multi-start portfolio across `N` worker threads
-//! via the deterministic engine: for a fixed seed the printed solution
-//! is identical at every jobs level. `--tasks N` fixes the k-way
-//! portfolio width (default 4) independently of `--jobs`, which is what
-//! keeps the k-way reduction jobs-invariant. Worker statistics go to
-//! stderr so stdout stays byte-comparable. `--cache` enables the
-//! engine's in-memory result cache (useful for repeated requests inside
-//! one process; stats are printed to stderr).
+//! via the deterministic engine: for a fixed seed the printed
+//! `bipartition` solution is identical at every jobs level. `--tasks N`
+//! fixes the k-way portfolio width (default 4) independently of
+//! `--jobs`, which is what keeps the k-way reduction jobs-invariant.
+//! `kway` at `--jobs 1` with no `--tasks`, `--multilevel` or
+//! observability flag runs a single `kway_partition` task instead of
+//! the portfolio, so it may print a different solution than
+//! `--jobs 2`. Worker statistics go to stderr so stdout stays
+//! byte-comparable.
 //!
 //! # Observability
 //!
@@ -162,7 +164,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--cache] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
+        "usage:\n  netpart stats <file.blif>\n  netpart bipartition <file.blif> [--replication none|traditional|functional] [--threshold T] [--runs N] [--epsilon E] [--seed S] [--budget-ms MS] [--jobs N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart kway <file.blif> [--replication none|functional] [--threshold T] [--candidates N] [--max-attempts N] [--seed S] [--refine] [--budget-ms MS] [--assign out.csv] [--jobs N] [--tasks N] [--multilevel] [--max-levels N] [--coarsen-ratio R] [--board B.board|direct2|mesh2x2|star8] [--certify-out C.cert] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart verify <file.cert> [--netlist file.blif] [-v|-vv]\n  netpart serve <spool-dir> [--drain] [--jobs N] [--max-queue N] [--max-retries N] [--backoff-base R] [--poll-ms MS] [--budget-ms MS] [--seed S] [--trace-out T.jsonl] [--metrics-out M.json] [--profile-out P.json] [-v|-vv]\n  netpart serve-status <spool-dir>\n  netpart trace summarize <trace.jsonl>\n  netpart trace validate <trace.jsonl>\n  netpart trace diff <a.jsonl> <b.jsonl>\n  netpart submit <spool-dir> <file.blif> [--cmd bipartition|kway] [--id ID] [--seed S] [--runs N] [--epsilon E] [--candidates N] [--tasks N] [--replication M] [--threshold T] [--budget-ms MS] [--max-retries N] [--max-queue N]\n  netpart queue <spool-dir>\n  netpart synth <gates> [out.blif] [--dff N] [--seed S] [--rent P]"
     );
     std::process::exit(2)
 }
@@ -181,7 +183,6 @@ struct Flags {
     dff: usize,
     jobs: usize,
     tasks: Option<usize>,
-    cache: bool,
     multilevel: bool,
     max_levels: Option<usize>,
     coarsen_ratio: Option<f64>,
@@ -222,7 +223,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
         dff: 0,
         jobs: 1,
         tasks: None,
-        cache: false,
         multilevel: false,
         max_levels: None,
         coarsen_ratio: None,
@@ -263,7 +263,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, Box<dyn Error>> {
             "--dff" => f.dff = val()?.parse()?,
             "--jobs" => f.jobs = val()?.parse::<usize>()?.max(1),
             "--tasks" => f.tasks = Some(val()?.parse::<usize>()?.max(1)),
-            "--cache" => f.cache = true,
             "--multilevel" => f.multilevel = true,
             "--max-levels" => f.max_levels = Some(val()?.parse()?),
             "--coarsen-ratio" => f.coarsen_ratio = Some(val()?.parse()?),
@@ -583,16 +582,6 @@ fn note_workers(workers: &[WorkerStats]) {
     eprintln!("{}", worker_table("portfolio workers", &rows));
 }
 
-fn note_cache(engine: &Engine) {
-    if engine.cache_enabled() {
-        let s = engine.cache_stats();
-        eprintln!(
-            "cache: {} hits, {} misses, {} entries",
-            s.hits, s.misses, s.entries
-        );
-    }
-}
-
 fn cmd_stats(path: &str) -> Result<(), Box<dyn Error>> {
     let (nl, hg) = load(path)?;
     let s = hg.stats();
@@ -631,7 +620,7 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         .with_budget(budget_of(f));
     let runs = f.runs.max(1);
     let ml = ml_of(f);
-    if f.jobs > 1 || f.cache || ml.is_some() || Obs::active(f) {
+    if f.jobs > 1 || ml.is_some() || Obs::active(f) {
         // Portfolio engine path: same printed solution as the
         // sequential harness for a fixed seed, by the engine's
         // determinism contract. Observability flags force this path
@@ -640,7 +629,6 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
         // routes here so the V-cycle keeps the engine's invariance.
         let obs = Obs::from_flags(f)?;
         let engine = Engine::new(f.jobs)
-            .with_cache(f.cache)
             .with_multilevel(ml)
             .with_recorder(Arc::clone(&obs.recorder));
         let (stats, _hit) = engine.bipartition_many(&hg, &cfg, runs)?;
@@ -658,7 +646,6 @@ fn cmd_bipartition(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             best.areas, best.passes, best.balanced, best.stop
         );
         note_workers(&stats.workers);
-        note_cache(&engine);
         let mut routed = None;
         if let Some(spec) = &f.board {
             let placement = best
@@ -724,15 +711,13 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
     // the post-refinement result; with no observability flag the tee is
     // empty and both recording and `finish` are no-ops.
     let obs = Obs::from_flags(f)?;
-    let (mut res, cert_seed) = if f.jobs > 1 || f.tasks.is_some() || f.cache || ml.is_some() || obs_active
-    {
+    let (mut res, cert_seed) = if f.jobs > 1 || f.tasks.is_some() || ml.is_some() || obs_active {
         // Portfolio engine path. The task count is fixed independently
         // of --jobs (default 4), which is what makes the reduction
         // jobs-invariant. Observability flags force this path even at
         // --jobs 1 (see cmd_bipartition), as does --multilevel.
         let tasks = f.tasks.unwrap_or(4);
         let engine = Engine::new(f.jobs)
-            .with_cache(f.cache)
             .with_multilevel(ml)
             .with_recorder(Arc::clone(&obs.recorder));
         let (pres, _hit) = engine.kway(&hg, &cfg, tasks)?;
@@ -744,7 +729,6 @@ fn cmd_kway(path: &str, f: &Flags) -> Result<(), Box<dyn Error>> {
             if pres.rescued { ", rescued" } else { "" }
         );
         note_workers(&pres.workers);
-        note_cache(&engine);
         let winner_seed = cfg.seed.wrapping_add(pres.winner as u64);
         (pres.result.clone(), winner_seed)
     } else {

@@ -180,21 +180,3 @@ fn budgeted_portfolio_bipartition_still_exits_zero() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 runs:"), "stdout: {stdout}");
 }
-
-#[test]
-fn cache_flag_reports_stats_on_stderr() {
-    let blif = synth(&tmp(), "200", "13");
-    let out = netpart()
-        .args([
-            "bipartition",
-            blif.to_str().expect("utf8 path"),
-            "--runs",
-            "3",
-            "--cache",
-        ])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("cache:"), "expected cache stats, got: {err}");
-}
