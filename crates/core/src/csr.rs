@@ -62,6 +62,10 @@ pub(crate) struct CsrGraph {
     net_cell_start: Vec<u32>,
     /// Distinct cells per net in first-seen endpoint order.
     net_cells: Vec<CellId>,
+    /// Per net, the most input pins any one cell has on it (`k(n)`,
+    /// the reach of a single cell's state change on the net's sink
+    /// counts; see [`crate::state::cut_out_of_reach`]).
+    net_max_sinks: Vec<u32>,
     /// Maximum distinct-incident-net count over all cells (the FM
     /// in-range gain bound `p_max`).
     max_cell_degree: usize,
@@ -77,6 +81,7 @@ impl CsrGraph {
         let mut group_start = vec![0u32];
         let mut group_pins: Vec<u32> = Vec::new();
         let mut pairs: Vec<(NetId, u32)> = Vec::new();
+        let mut net_max_sinks = vec![0u32; hg.n_nets()];
         let mut max_cell_degree = 0usize;
         for c in hg.cell_ids() {
             let cell = hg.cell(c);
@@ -101,11 +106,15 @@ impl CsrGraph {
             while i < pairs.len() {
                 let nt = pairs[i].0;
                 cell_nets.push(nt);
+                let mut sinks = 0u32;
                 while i < pairs.len() && pairs[i].0 == nt {
                     group_pins.push(pairs[i].1);
+                    sinks += u32::from(pairs[i].1 & OUT_BIT == 0);
                     i += 1;
                 }
                 group_start.push(group_pins.len() as u32);
+                let k = &mut net_max_sinks[nt.index()];
+                *k = (*k).max(sinks);
             }
             cell_net_start.push(cell_nets.len() as u32);
             max_cell_degree = max_cell_degree.max(cell_nets.len() - first_group);
@@ -134,6 +143,7 @@ impl CsrGraph {
             group_pins,
             net_cell_start,
             net_cells,
+            net_max_sinks,
             max_cell_degree,
         }
     }
@@ -183,6 +193,11 @@ impl CsrGraph {
             self.net_cell_start[net.index() + 1] as usize,
         );
         &self.net_cells[s..e]
+    }
+
+    /// The most input pins any one cell has on `net` (`k(n)`).
+    pub(crate) fn max_sink_pins(&self, net: NetId) -> u32 {
+        self.net_max_sinks[net.index()]
     }
 
     /// Maximum distinct-incident-net count over all cells (`p_max`).
@@ -251,6 +266,15 @@ mod tests {
         assert_eq!(csr.pins_on(d, NetId(0)).len(), 2);
         assert_eq!(csr.pins_on(d, NetId(1)).len(), 1);
         assert!(csr.pins_on(d, NetId(2)).is_empty(), "not incident");
+    }
+
+    #[test]
+    fn max_sink_pins_counts_inputs_only() {
+        let (hg, _, _) = shared_pin_graph();
+        let csr = CsrGraph::build(&hg);
+        // na: D's two input pins; nx: D drives it, pad X sinks it once.
+        assert_eq!(csr.max_sink_pins(NetId(0)), 2);
+        assert_eq!(csr.max_sink_pins(NetId(1)), 1);
     }
 
     #[test]

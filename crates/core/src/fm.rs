@@ -16,7 +16,7 @@ use crate::buckets::GainBuckets;
 use crate::budget::RunClock;
 use crate::config::{BipartitionConfig, ReplicationMode, SelectionStrategy};
 use crate::error::StopReason;
-use crate::state::{pins_contribution, CellState, EngineState};
+use crate::state::{cut_out_of_reach, pins_contribution, CellState, EngineState};
 use netpart_hypergraph::{CellId, Hypergraph, Placement};
 use netpart_obs::{Event, Level, Span};
 use netpart_rng::Rng;
@@ -302,6 +302,12 @@ struct PassOutcome {
     retried: u64,
     applied: u64,
     kept: u64,
+    /// Gain-update work: `(endpoint, changed net)` pairs whose
+    /// candidate gains were re-evaluated, and changed nets whose
+    /// re-evaluation [`cut_out_of_reach`] pruned (always 0 for the heap
+    /// pass, which re-derives every touched cell from scratch).
+    updates: u64,
+    skipped: u64,
 }
 
 fn run_pass(
@@ -324,7 +330,11 @@ fn run_pass(
 /// endpoint's candidate gains are adjusted by the *difference* of that
 /// net's contribution between the before/after count snapshots
 /// ([`EngineState::net_contribution`]) — no candidate is recomputed
-/// from scratch on the hot path.
+/// from scratch on the hot path. A changed net whose cut state is out
+/// of every endpoint's reach ([`cut_out_of_reach`]) contributes a zero
+/// delta to every candidate, so its re-evaluation is skipped; its
+/// endpoints are still touched, in the same order, because touching
+/// re-keys cells that sit at a legal-best key below their best.
 ///
 /// When a cell's best candidate is area-illegal, the cell is re-keyed
 /// by its best *legal* candidate (strictly lower, so this terminates)
@@ -375,6 +385,8 @@ fn run_pass_buckets(
     let mut selects = 0u64;
     let mut repairs = 0u64;
     let mut retried = 0u64;
+    let mut updates = 0u64;
+    let mut skipped = 0u64;
 
     // Reused per-move scratch.
     let mut before: Vec<([u32; 2], [u32; 2])> = Vec::new();
@@ -462,23 +474,29 @@ fn run_pass_buckets(
         // candidates by the difference in that net's contribution. The
         // CSR `cells_of` slice is already deduplicated in first-seen
         // endpoint order, so the touch order matches the old per-move
-        // `seen` scan move for move.
+        // `seen` scan move for move. A net out of reach keeps every
+        // delta at zero but still touches its endpoints.
         touched.clear();
         for (i, &nt) in nets.iter().enumerate() {
             let after = engine.net_counts(nt);
             if after == before[i] {
                 continue;
             }
+            let settled = cut_out_of_reach(before[i], after, csr.max_sink_pins(nt));
+            skipped += u64::from(settled);
             for &t in csr.cells_of(nt) {
                 if t == c || locked[t.index()] {
                     continue;
                 }
-                let cur_t = engine.cell_state(t);
-                let (ts, te) = range[t.index()];
-                let pins = csr.pins_on(t, nt);
-                for cd in &mut cands[ts as usize..te as usize] {
-                    cd.gain += pins_contribution(hg, t, cur_t, cd.state, pins, after)
-                        - pins_contribution(hg, t, cur_t, cd.state, pins, before[i]);
+                if !settled {
+                    updates += 1;
+                    let cur_t = engine.cell_state(t);
+                    let (ts, te) = range[t.index()];
+                    let pins = csr.pins_on(t, nt);
+                    for cd in &mut cands[ts as usize..te as usize] {
+                        cd.gain += pins_contribution(hg, t, cur_t, cd.state, pins, after)
+                            - pins_contribution(hg, t, cur_t, cd.state, pins, before[i]);
+                    }
                 }
                 if !in_touched[t.index()] {
                     in_touched[t.index()] = true;
@@ -516,6 +534,8 @@ fn run_pass_buckets(
         retried,
         applied,
         kept: keep as u64,
+        updates,
+        skipped,
     }
 }
 
@@ -615,6 +635,7 @@ fn run_pass_heap(
     let mut scans = 0u64;
     let mut repairs = 0u64;
     let mut retried = 0u64;
+    let mut updates = 0u64;
 
     // Reused per-move scratch, mirroring the bucket pass.
     let mut before: Vec<([u32; 2], [u32; 2])> = Vec::new();
@@ -704,6 +725,7 @@ fn run_pass_heap(
                 if t == c || locked[t.index()] {
                     continue;
                 }
+                updates += 1;
                 if !in_touched[t.index()] {
                     in_touched[t.index()] = true;
                     touched.push(t.0);
@@ -737,6 +759,8 @@ fn run_pass_heap(
         retried,
         applied,
         kept: keep as u64,
+        updates,
+        skipped: 0,
     }
 }
 
@@ -859,6 +883,8 @@ pub fn bipartition_from_sides(
                         .field("retried", out.retried)
                         .field("applied", out.applied)
                         .field("kept", out.kept)
+                        .field("updates", out.updates)
+                        .field("skipped", out.skipped)
                         .field("spanning", engine.spanning_nets())
                         .field("balanced", out.any_balanced),
                 );

@@ -66,4 +66,4 @@ pub use kway::{
 };
 pub use refine::{refine_kway, unreplicate_cleanup, RefineStats};
 pub use runs::{run_many, run_start, MultiRunStats};
-pub use state::{CellState, EngineState};
+pub use state::{cut_out_of_reach, CellState, EngineState};

@@ -218,7 +218,7 @@ impl<'a> EngineState<'a> {
 
     /// Connected `(sink, driver)` endpoint counts of a net per side —
     /// the snapshot the incremental bucket pass diffs around a move.
-    pub(crate) fn net_counts(&self, net: NetId) -> ([u32; 2], [u32; 2]) {
+    pub fn net_counts(&self, net: NetId) -> ([u32; 2], [u32; 2]) {
         let nc = self.counts[net.index()];
         (nc.sink, nc.drv)
     }
@@ -333,8 +333,10 @@ impl<'a> EngineState<'a> {
     /// re-evaluates it against before/after count snapshots of the nets
     /// a move touched — so delta-updated candidate gains agree with the
     /// from-scratch gains by construction.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn net_contribution(
+    ///
+    /// `counts` are `(sink, driver)` connected-endpoint counts per side
+    /// and must include `c`'s own pins under `old`.
+    pub fn net_contribution(
         &self,
         c: CellId,
         old: CellState,
@@ -506,6 +508,23 @@ impl NetCounts {
 /// connected driver while the other side has one.
 fn cut_from(sc: [u32; 2], dc: [u32; 2]) -> bool {
     (0..2).any(|s| sc[s] > 0 && dc[s] == 0 && dc[1 - s] > 0)
+}
+
+/// The directed-cut critical-net rule: `true` when a move that took a
+/// net's `(sink, driver)` counts from `before` to `after` cannot have
+/// changed any other cell's gain contribution from that net, given `k`
+/// = the most input pins any one cell has on the net.
+///
+/// The driver counts must be unchanged and both sides' sink counts must
+/// exceed `k` before and after. A candidate state change of one cell
+/// moves each side's sink count by at most its input pins on the net
+/// (≤ `k`), so every sink count stays positive under every candidate,
+/// and the cut rule then reads only the driver counts — which the move
+/// left alone. Hence `cut(counts + Δ)` is the same for `before` and
+/// `after` for every candidate delta `Δ`, and so is every
+/// [`EngineState::net_contribution`].
+pub fn cut_out_of_reach(before: ([u32; 2], [u32; 2]), after: ([u32; 2], [u32; 2]), k: u32) -> bool {
+    before.1 == after.1 && (0..2).all(|s| before.0[s] > k && after.0[s] > k)
 }
 
 /// Cut-state contribution of one net's pin group to a state change of

@@ -28,6 +28,8 @@ struct Incidence {
     start: Vec<u32>,
     /// `(net, multiplicity)` pairs, grouped by cell.
     entries: Vec<(u32, u32)>,
+    /// Per net, the largest multiplicity any one cell has on it.
+    max_mult: Vec<u32>,
 }
 
 impl Incidence {
@@ -51,7 +53,15 @@ impl Incidence {
             }
             start.push(entries.len() as u32);
         }
-        Incidence { start, entries }
+        let mut max_mult = vec![0u32; hg.n_nets()];
+        for &(n, k) in &entries {
+            max_mult[n as usize] = max_mult[n as usize].max(k);
+        }
+        Incidence {
+            start,
+            entries,
+            max_mult,
+        }
     }
 
     fn of(&self, ci: usize) -> &[(u32, u32)] {
@@ -118,12 +128,7 @@ impl<'a> State<'a> {
         let o = 1 - s;
         let mut g = 0i64;
         for &(n, k) in self.inc.of(ci) {
-            let c = self.cnt[n as usize];
-            let cut_now = c[0] > 0 && c[1] > 0;
-            // After the move side `o` holds `c[o]+k > 0` pins, so the
-            // net stays cut iff side `s` is still populated.
-            let cut_after = c[s] - k > 0;
-            g += i64::from(cut_now) - i64::from(cut_after);
+            g += net_gain(self.cnt[n as usize], k, s);
         }
         let cell = &self.hg.cells()[ci];
         if cell.is_terminal() {
@@ -160,6 +165,32 @@ impl<'a> State<'a> {
             }
         }
     }
+}
+
+/// One net's term in the gain of moving a cell that holds `k` of the
+/// net's `c` pins on side `s` to the other side.
+fn net_gain(c: [u32; 2], k: u32, s: usize) -> i64 {
+    let cut_now = c[0] > 0 && c[1] > 0;
+    // After the move side `o` holds `c[o]+k > 0` pins, so the net stays
+    // cut iff side `s` is still populated.
+    let cut_after = c[s] - k > 0;
+    i64::from(cut_now) - i64::from(cut_after)
+}
+
+/// Whether a flip that moved `k` pins of one net from side `s` to side
+/// `o`, leaving `before_o + k` pins on `o` and `after_s` on `s`, left
+/// every other cell's gain term for that net unchanged. `max_mult` is
+/// the net's largest per-cell multiplicity.
+///
+/// A neighbor holding `k'` pins on side `x` reads the net through
+/// "cut now" (both sides populated) and "`cnt[x] − k' > 0`". With both
+/// sides above `max_mult ≥ k'` before and after the flip, the net stays
+/// cut and every `cnt[x] − k'` stays positive, so no term moves. Any
+/// smaller threshold misses a neighbor that holds more pins than it:
+/// at `max_mult = 3` and `before_o = 3`, the side-`o` neighbor holding
+/// all three pins loses the +1 it had for emptying side `o`.
+fn gains_unchanged(before_o: u32, after_s: u32, max_mult: u32) -> bool {
+    before_o > max_mult && after_s > max_mult
 }
 
 /// One FM pass over the boundary. Returns `true` when the pass found a
@@ -220,9 +251,7 @@ fn one_pass(st: &mut State<'_>, sides: &mut [u8]) -> bool {
         // doing so). Everything else is untouched by this move.
         for &(n, k) in st.inc.of(ci) {
             let after = st.cnt[n as usize];
-            let before_o = after[o] - k;
-            let after_s = after[s];
-            if before_o > 2 && after_s > 2 {
+            if gains_unchanged(after[o] - k, after[s], st.inc.max_mult[n as usize]) {
                 continue;
             }
             for e in st.hg.net(NetId(n)).endpoints() {
@@ -307,4 +336,154 @@ pub fn refine_sides(
         }
     }
     (passes, stop)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netpart_hypergraph::{AdjacencyMatrix, CellKind, HypergraphBuilder};
+    use netpart_rng::Rng;
+
+    /// Net `n` (id 0) driven by a pad on side 0 and sunk by nine output
+    /// pads there, plus one logic cell on side 1 holding three input
+    /// pins on it. Returns the graph, the sides, the first sink pad and
+    /// the logic cell.
+    fn triple_pin_net() -> (Hypergraph, Vec<u8>, usize, usize) {
+        let mut b = HypergraphBuilder::new();
+        let n = b.add_net("n");
+        let m = b.add_net("m");
+        let drv = b.add_cell("d", CellKind::input_pad(), 0, 1, AdjacencyMatrix::pad());
+        b.connect_output(n, drv, 0).unwrap();
+        let mut sides = vec![0u8];
+        for i in 0..9 {
+            let q = b.add_cell(
+                format!("q{i}"),
+                CellKind::output_pad(),
+                1,
+                0,
+                AdjacencyMatrix::pad(),
+            );
+            b.connect_input(n, q, 0).unwrap();
+            sides.push(0);
+        }
+        let nbr = b.add_cell("N", CellKind::logic(1), 3, 1, AdjacencyMatrix::full(3, 1));
+        for j in 0..3 {
+            b.connect_input(n, nbr, j).unwrap();
+        }
+        b.connect_output(m, nbr, 0).unwrap();
+        let z = b.add_cell("z", CellKind::output_pad(), 1, 0, AdjacencyMatrix::pad());
+        b.connect_input(m, z, 0).unwrap();
+        sides.extend([1, 1]);
+        (b.finish().unwrap(), sides, 1, nbr.index())
+    }
+
+    #[test]
+    fn multi_pin_neighbor_is_not_left_stale() {
+        // Counts [s:10, o:3] with the side-`o` neighbor holding all three
+        // side-`o` pins: moving one side-`s` sink over changes that
+        // neighbor's gain, yet the old `before_o > 2 && after_s > 2`
+        // skip let it keep its heap gain.
+        let (hg, mut sides, mover, nbr) = triple_pin_net();
+        let cfg = BipartitionConfig::bounded([0, 0], [hg.total_area(); 2]);
+        let mut st = State::build(&hg, &cfg, &sides);
+        assert_eq!(st.cnt[0], [10, 3]);
+        assert_eq!(st.inc.max_mult[0], 3);
+        let heap_gain = st.gain_of(nbr, &sides);
+        st.flip(mover, &mut sides);
+        let (before_o, after_s) = (st.cnt[0][1] - 1, st.cnt[0][0]);
+        assert!(before_o > 2 && after_s > 2, "the old rule skipped net n");
+        assert_ne!(
+            st.gain_of(nbr, &sides),
+            heap_gain,
+            "so the neighbor's heap gain went stale"
+        );
+        assert!(!gains_unchanged(before_o, after_s, st.inc.max_mult[0]));
+    }
+
+    #[test]
+    fn skipped_nets_never_move_a_neighbor_term() {
+        // Random graphs whose logic cells put 1..=4 input pins on a few
+        // shared pad nets, random sides and random flips: whenever the
+        // rule skips a net, every other endpoint's term for that net is
+        // the same before and after the flip.
+        let mut rng = Rng::seed_from_u64(0x7265_6669_6e65);
+        let mut skipped = 0usize;
+        for case in 0..64 {
+            let mut b = HypergraphBuilder::new();
+            let pad_nets: Vec<NetId> = (0..3)
+                .map(|i| {
+                    let nt = b.add_net(format!("p{i}"));
+                    let p = b.add_cell(
+                        format!("i{i}"),
+                        CellKind::input_pad(),
+                        0,
+                        1,
+                        AdjacencyMatrix::pad(),
+                    );
+                    b.connect_output(nt, p, 0).unwrap();
+                    nt
+                })
+                .collect();
+            for c in 0..12 {
+                let ins = 1 + rng.gen_range(0..4);
+                let x = b.add_cell(
+                    format!("x{c}"),
+                    CellKind::logic(1),
+                    ins,
+                    1,
+                    AdjacencyMatrix::full(ins, 1),
+                );
+                for j in 0..ins {
+                    b.connect_input(pad_nets[rng.gen_range(0..3)], x, j)
+                        .unwrap();
+                }
+                let out = b.add_net(format!("o{c}"));
+                b.connect_output(out, x, 0).unwrap();
+                let z = b.add_cell(
+                    format!("z{c}"),
+                    CellKind::output_pad(),
+                    1,
+                    0,
+                    AdjacencyMatrix::pad(),
+                );
+                b.connect_input(out, z, 0).unwrap();
+            }
+            let hg = b.finish().unwrap();
+            let cfg = BipartitionConfig::bounded([0, 0], [hg.total_area(); 2]);
+            let mut sides: Vec<u8> = (0..hg.n_cells())
+                .map(|_| rng.gen_range(0..2) as u8)
+                .collect();
+            let mut st = State::build(&hg, &cfg, &sides);
+            for _ in 0..40 {
+                let ci = rng.gen_range(0..hg.n_cells());
+                let before = st.cnt.clone();
+                let s = usize::from(sides[ci]);
+                st.flip(ci, &mut sides);
+                for &(n, k) in st.inc.of(ci) {
+                    let after = st.cnt[n as usize];
+                    if !gains_unchanged(after[1 - s] - k, after[s], st.inc.max_mult[n as usize]) {
+                        continue;
+                    }
+                    skipped += 1;
+                    for e in hg.net(NetId(n)).endpoints() {
+                        let ei = e.cell.index();
+                        if ei == ci {
+                            continue;
+                        }
+                        let (_, ke) = *st.inc.of(ei).iter().find(|&&(m, _)| m == n).unwrap();
+                        let x = usize::from(sides[ei]);
+                        assert_eq!(
+                            net_gain(before[n as usize], ke, x),
+                            net_gain(after, ke, x),
+                            "case {case}: net {n} skipped but cell {ei}'s term moved"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            skipped > 0,
+            "the rule must fire for the check to mean anything"
+        );
+    }
 }

@@ -97,16 +97,32 @@ fn deterministic_metrics(metrics: &str) -> String {
 
 #[test]
 fn bipartition_trace_skeleton_is_identical_across_jobs_levels() {
-    let dir = tmp();
+    // Own subdirectory: another test writes `bipartition-2.*` in `tmp()`.
+    let dir = tmp().join("skeleton");
+    std::fs::create_dir_all(&dir).expect("temp dir");
     let blif = synth(&dir, "350", "7");
     let (t1, m1, _) = traced_run(&dir, &blif, "bipartition", "1");
+    let (t2, _, _) = traced_run(&dir, &blif, "bipartition", "2");
     let (t8, m8, _) = traced_run(&dir, &blif, "bipartition", "8");
     assert_ne!(t1, "", "trace must not be empty");
+    assert_eq!(
+        strip_timing(&t1),
+        strip_timing(&t2),
+        "stripped bipartition traces diverged between --jobs 1 and 2"
+    );
     assert_eq!(
         strip_timing(&t1),
         strip_timing(&t8),
         "stripped bipartition traces diverged between --jobs 1 and 8"
     );
+    // The gain-update work counters are deterministic fields of
+    // `fm.pass`, so they survive the strip.
+    for needle in ["\"updates\":", "\"skipped\":"] {
+        assert!(
+            strip_timing(&t1).contains(needle),
+            "missing {needle} in stripped trace"
+        );
+    }
     assert_eq!(
         deterministic_metrics(&m1),
         deterministic_metrics(&m8),

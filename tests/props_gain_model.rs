@@ -6,12 +6,14 @@
 //! `tests/props_board.rs`: each property draws [`CASES`] `(seed,
 //! side_seed)` pairs from its own fixed stream, and every assertion
 //! message names the pair, so a failure is a two-integer reproducer
-//! (`mapped_with_sides(gates, dffs, seed, side_seed)`).
+//! (`mapped_with_sides(gates, dffs, seed, side_seed)`). The
+//! critical-net lemma is checked on small hand-built nets instead,
+//! where near-threshold counts and multi-pin groups are common.
 
 use netpart::core::gain::{
     best_functional_gain, extract_vectors, functional_gain, single_move_gain, traditional_gain,
 };
-use netpart::core::{CellState, EngineState};
+use netpart::core::{cut_out_of_reach, CellState, EngineState};
 use netpart::prelude::*;
 use netpart::verify::gen::mapped_with_sides;
 use netpart_rng::Rng;
@@ -210,4 +212,177 @@ fn full_passes_never_go_stale() {
             }
         }
     }
+}
+
+/// Every state a cell can take under the three replication modes:
+/// both single sides, and for logic cells both traditional replicas and
+/// every proper functional replica mask.
+fn all_states(hg: &Hypergraph, c: CellId) -> Vec<CellState> {
+    let cell = hg.cell(c);
+    let mut out = Vec::new();
+    for side in 0..2u8 {
+        out.push(CellState::Single { side });
+        if !cell.is_terminal() {
+            out.push(CellState::Traditional { orig_side: side });
+            let full = (1u32 << cell.m_outputs()) - 1;
+            out.extend((1..full).map(|replica_mask| CellState::Functional {
+                orig_side: side,
+                replica_mask,
+            }));
+        }
+    }
+    out
+}
+
+/// Adds a logic cell with `on_net` input pins on `net` plus `extra`
+/// inputs on fresh pad-driven nets, and `m` outputs each supporting a
+/// random non-empty input subset. Output 0 drives `net` when `drives`;
+/// every other output feeds a fresh output pad.
+fn add_probe_cell(
+    b: &mut HypergraphBuilder,
+    rng: &mut Rng,
+    net: NetId,
+    on_net: usize,
+    extra: usize,
+    m: usize,
+    drives: bool,
+) -> CellId {
+    let ni = on_net + extra;
+    let rows: Vec<Vec<usize>> = (0..m)
+        .map(|_| {
+            let mut row: Vec<usize> = (0..ni).filter(|_| rng.gen_bool(0.5)).collect();
+            if row.is_empty() {
+                row.push(rng.gen_range(0..ni));
+            }
+            row
+        })
+        .collect();
+    let refs: Vec<&[usize]> = rows.iter().map(Vec::as_slice).collect();
+    let id = b.n_cells();
+    let c = b.add_cell(
+        format!("x{id}"),
+        CellKind::logic(1),
+        ni,
+        m,
+        AdjacencyMatrix::from_rows(ni, &refs),
+    );
+    for j in 0..ni {
+        if j < on_net {
+            b.connect_input(net, c, j).unwrap();
+        } else {
+            let nt = b.add_net(format!("i{id}_{j}"));
+            let p = b.add_cell(
+                format!("p{id}_{j}"),
+                CellKind::input_pad(),
+                0,
+                1,
+                AdjacencyMatrix::pad(),
+            );
+            b.connect_output(nt, p, 0).unwrap();
+            b.connect_input(nt, c, j).unwrap();
+        }
+    }
+    for o in 0..m {
+        if o == 0 && drives {
+            b.connect_output(net, c, 0).unwrap();
+        } else {
+            let nt = b.add_net(format!("o{id}_{o}"));
+            b.connect_output(nt, c, o).unwrap();
+            let z = b.add_cell(
+                format!("z{id}_{o}"),
+                CellKind::output_pad(),
+                1,
+                0,
+                AdjacencyMatrix::pad(),
+            );
+            b.connect_input(nt, z, 0).unwrap();
+        }
+    }
+    c
+}
+
+/// The directed-cut critical-net lemma behind the bucket pass's pruned
+/// gain update: when [`cut_out_of_reach`] holds for a move's
+/// before/after counts of a net, every candidate state of every other
+/// cell on the net gets the same contribution from both snapshots.
+///
+/// Each case builds one net `n` with a probe cell `X` (1–3 input pins on
+/// `n`, sometimes also its driver), a mover `Y` (1–3 pins on `n`), a
+/// driver cell unless `X` drives, and 0–8 sink pads. Every cell starts
+/// on a random side, `X`, `Y` and the driver then take a random state
+/// from all three replication modes, `Y` changes to another random
+/// state, and `X`'s contribution is compared over its whole state set.
+/// `k` is read off the graph as the most input pins any one cell has on
+/// `n`.
+#[test]
+fn out_of_reach_nets_contribute_identically() {
+    let mut rng = Rng::seed_from_u64(15);
+    let (mut held, mut moved) = (0usize, 0usize);
+    for case in 0..4096 {
+        let mut b = HypergraphBuilder::new();
+        let n = b.add_net("n");
+        let x_drives = rng.gen_range(0..3) == 0;
+        let kx = 1 + rng.gen_range(0..3);
+        let (ex, mx) = (rng.gen_range(0..3), 1 + rng.gen_range(0..3));
+        let x = add_probe_cell(&mut b, &mut rng, n, kx, ex, mx, x_drives);
+        let ky = 1 + rng.gen_range(0..3);
+        let (ey, my) = (rng.gen_range(0..2), 1 + rng.gen_range(0..2));
+        let y = add_probe_cell(&mut b, &mut rng, n, ky, ey, my, false);
+        let d = (!x_drives).then(|| add_probe_cell(&mut b, &mut rng, n, 0, 1, 1, true));
+        for _ in 0..rng.gen_range(0..9) {
+            let id = b.n_cells();
+            let q = b.add_cell(
+                format!("q{id}"),
+                CellKind::output_pad(),
+                1,
+                0,
+                AdjacencyMatrix::pad(),
+            );
+            b.connect_input(n, q, 0).unwrap();
+        }
+        let hg = b.finish().expect("probe graph is valid");
+        let sides: Vec<u8> = (0..hg.n_cells())
+            .map(|_| rng.gen_range(0..2) as u8)
+            .collect();
+        let mut engine = EngineState::new(&hg, &sides);
+        for c in [Some(x), Some(y), d].into_iter().flatten() {
+            let states = all_states(&hg, c);
+            engine.set_state(c, states[rng.gen_range(0..states.len())]);
+        }
+        let k = hg
+            .cell_ids()
+            .map(|c| {
+                hg.cell(c)
+                    .input_nets()
+                    .iter()
+                    .filter(|&&nt| nt == n)
+                    .count()
+            })
+            .max()
+            .unwrap() as u32;
+        let before = engine.net_counts(n);
+        let y_states = all_states(&hg, y);
+        engine.set_state(y, y_states[rng.gen_range(0..y_states.len())]);
+        let after = engine.net_counts(n);
+        let old = engine.cell_state(x);
+        let skip = cut_out_of_reach(before, after, k);
+        held += usize::from(skip && before != after);
+        for cand in all_states(&hg, x) {
+            let cb = engine.net_contribution(x, old, cand, n, before);
+            let ca = engine.net_contribution(x, old, cand, n, after);
+            if skip {
+                assert_eq!(
+                    cb, ca,
+                    "case {case}: k={k} counts {before:?} -> {after:?}, X {old:?} -> {cand:?}"
+                );
+            } else {
+                moved += usize::from(cb != ca);
+            }
+        }
+    }
+    assert!(held >= 64, "only {held} changed nets out of reach");
+    assert!(
+        moved >= 64,
+        "only {moved} contributions moved outside the rule"
+    );
 }
