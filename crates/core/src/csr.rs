@@ -22,6 +22,7 @@
 //! `tests/csr_differential.rs`), so the arenas encode the traversal
 //! orders, not merely the connectivity.
 
+use crate::state::CellState;
 use netpart_hypergraph::{CellId, Hypergraph, NetId, Pin};
 
 /// High bit of a packed pin code: set for output pins.
@@ -35,12 +36,52 @@ fn encode_pin(pin: Pin) -> u32 {
     }
 }
 
-/// Decodes a packed pin code.
-pub(crate) fn decode_pin(code: u32) -> Pin {
-    if code & OUT_BIT != 0 {
-        Pin::Output((code & !OUT_BIT) as u16)
-    } else {
-        Pin::Input(code as u16)
+/// One pin of a `(cell, net)` group: its packed code and its output
+/// dependency mask — everything the gain kernel needs to decide where
+/// the pin is connected under any [`CellState`], with no
+/// [`Hypergraph`] read.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct PinRec {
+    /// Packed pin code ([`encode_pin`]).
+    pub(crate) code: u32,
+    /// The outputs this pin's connection hangs on: `1 << o` for output
+    /// `o`; for input `j`, the outputs that depend on it
+    /// ([`AdjacencyMatrix::input_mask`], 0 for a global input).
+    ///
+    /// [`AdjacencyMatrix::input_mask`]: netpart_hypergraph::AdjacencyMatrix::input_mask
+    pub(crate) dep: u32,
+}
+
+impl PinRec {
+    /// Returns `true` for an output (driver) pin.
+    pub(crate) fn is_output(self) -> bool {
+        self.code & OUT_BIT != 0
+    }
+
+    /// Connection flags of the pin under `state` (`[side 0, side 1]`).
+    /// A single copy connects every pin, a traditional replica copies
+    /// them all, and a functional copy keeping the outputs `mask`
+    /// connects the pin iff `dep == 0 || dep & mask != 0` — the paper's
+    /// floating-pin rule (eq. 4's adjacency vectors) read off `dep`.
+    pub(crate) fn conn(self, state: CellState) -> [bool; 2] {
+        match state {
+            CellState::Single { side } => [side == 0, side == 1],
+            CellState::Traditional { .. } => [true, true],
+            CellState::Functional {
+                orig_side,
+                replica_mask,
+            } => {
+                // `dep` only has bits of real outputs, so `!replica_mask`
+                // stands for the original's mask `full & !replica_mask`.
+                let on = |mask: u32| self.dep == 0 || self.dep & mask != 0;
+                let (orig, replica) = (on(!replica_mask), on(replica_mask));
+                if orig_side == 0 {
+                    [orig, replica]
+                } else {
+                    [replica, orig]
+                }
+            }
+        }
     }
 }
 
@@ -55,9 +96,9 @@ pub(crate) struct CsrGraph {
     /// Pin sub-range bounds per `(cell, net)` group, indexed parallel
     /// to `cell_nets` (`len = cell_nets.len() + 1`).
     group_start: Vec<u32>,
-    /// Packed pin codes ([`encode_pin`]) grouped by `(cell, net)`,
-    /// inputs before outputs in pin order within each group.
-    group_pins: Vec<u32>,
+    /// Pin records grouped by `(cell, net)`, inputs before outputs in
+    /// pin order within each group.
+    group_pins: Vec<PinRec>,
     /// `nets → distinct cells` range bounds (`len = n_nets + 1`).
     net_cell_start: Vec<u32>,
     /// Distinct cells per net in first-seen endpoint order.
@@ -69,6 +110,10 @@ pub(crate) struct CsrGraph {
     /// Maximum distinct-incident-net count over all cells (the FM
     /// in-range gain bound `p_max`).
     max_cell_degree: usize,
+    /// Per cell, its area.
+    cell_area: Vec<u32>,
+    /// Per cell, whether it is a terminal (pad).
+    terminal: Vec<bool>,
 }
 
 impl CsrGraph {
@@ -79,25 +124,26 @@ impl CsrGraph {
         cell_net_start.push(0u32);
         let mut cell_nets: Vec<NetId> = Vec::new();
         let mut group_start = vec![0u32];
-        let mut group_pins: Vec<u32> = Vec::new();
-        let mut pairs: Vec<(NetId, u32)> = Vec::new();
+        let mut group_pins: Vec<PinRec> = Vec::new();
+        let mut pairs: Vec<(NetId, PinRec)> = Vec::new();
         let mut net_max_sinks = vec![0u32; hg.n_nets()];
         let mut max_cell_degree = 0usize;
         for c in hg.cell_ids() {
             let cell = hg.cell(c);
+            let adj = cell.adjacency();
             pairs.clear();
-            pairs.extend(
-                cell.input_nets()
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &nt)| (nt, encode_pin(Pin::Input(j as u16)))),
-            );
-            pairs.extend(
-                cell.output_nets()
-                    .iter()
-                    .enumerate()
-                    .map(|(o, &nt)| (nt, encode_pin(Pin::Output(o as u16)))),
-            );
+            pairs.extend(cell.input_nets().iter().enumerate().map(|(j, &nt)| {
+                let code = encode_pin(Pin::Input(j as u16));
+                let dep = adj.input_mask(j);
+                (nt, PinRec { code, dep })
+            }));
+            // Outputs past bit 31 cannot be named by a replica mask and
+            // never take part in functional replication.
+            pairs.extend(cell.output_nets().iter().enumerate().map(|(o, &nt)| {
+                let code = encode_pin(Pin::Output(o as u16));
+                let dep = 1u32.checked_shl(o as u32).unwrap_or(0);
+                (nt, PinRec { code, dep })
+            }));
             // Stable sort: within one net the pins keep cell-pin order
             // (inputs in pin order, then outputs in pin order).
             pairs.sort_by_key(|&(nt, _)| nt);
@@ -109,7 +155,7 @@ impl CsrGraph {
                 let mut sinks = 0u32;
                 while i < pairs.len() && pairs[i].0 == nt {
                     group_pins.push(pairs[i].1);
-                    sinks += u32::from(pairs[i].1 & OUT_BIT == 0);
+                    sinks += u32::from(!pairs[i].1.is_output());
                     i += 1;
                 }
                 group_start.push(group_pins.len() as u32);
@@ -137,6 +183,8 @@ impl CsrGraph {
         }
 
         CsrGraph {
+            cell_area: hg.cells().iter().map(|cl| cl.area()).collect(),
+            terminal: hg.cells().iter().map(|cl| cl.is_terminal()).collect(),
             cell_net_start,
             cell_nets,
             group_start,
@@ -157,8 +205,8 @@ impl CsrGraph {
         &self.cell_nets[s..e]
     }
 
-    /// `(net, packed pins)` groups of `c`, in ascending net order.
-    pub(crate) fn groups(&self, c: CellId) -> impl Iterator<Item = (NetId, &[u32])> + '_ {
+    /// `(net, pin records)` groups of `c`, in ascending net order.
+    pub(crate) fn groups(&self, c: CellId) -> impl Iterator<Item = (NetId, &[PinRec])> + '_ {
         let (s, e) = (
             self.cell_net_start[c.index()] as usize,
             self.cell_net_start[c.index() + 1] as usize,
@@ -169,8 +217,8 @@ impl CsrGraph {
         })
     }
 
-    /// The packed pins of `c` on `net` (empty when not incident).
-    pub(crate) fn pins_on(&self, c: CellId, net: NetId) -> &[u32] {
+    /// The pin records of `c` on `net` (empty when not incident).
+    pub(crate) fn pins_on(&self, c: CellId, net: NetId) -> &[PinRec] {
         let (s, e) = (
             self.cell_net_start[c.index()] as usize,
             self.cell_net_start[c.index() + 1] as usize,
@@ -203,6 +251,16 @@ impl CsrGraph {
     /// Maximum distinct-incident-net count over all cells (`p_max`).
     pub(crate) fn max_cell_degree(&self) -> usize {
         self.max_cell_degree
+    }
+
+    /// The area of `c`.
+    pub(crate) fn area(&self, c: CellId) -> u32 {
+        self.cell_area[c.index()]
+    }
+
+    /// Returns `true` if `c` is a terminal (pad) cell.
+    pub(crate) fn is_terminal(&self, c: CellId) -> bool {
+        self.terminal[c.index()]
     }
 }
 
@@ -252,15 +310,16 @@ mod tests {
     fn groups_keep_pin_order_and_cover_all_pins() {
         let (hg, _, d) = shared_pin_graph();
         let csr = CsrGraph::build(&hg);
-        let groups: Vec<(NetId, Vec<Pin>)> = csr
+        let groups: Vec<(NetId, Vec<u32>)> = csr
             .groups(d)
-            .map(|(nt, pins)| (nt, pins.iter().map(|&p| decode_pin(p)).collect()))
+            .map(|(nt, pins)| (nt, pins.iter().map(|p| p.code).collect()))
             .collect();
+        let code = encode_pin;
         assert_eq!(
             groups,
             vec![
-                (NetId(0), vec![Pin::Input(0), Pin::Input(1)]),
-                (NetId(1), vec![Pin::Output(0)]),
+                (NetId(0), vec![code(Pin::Input(0)), code(Pin::Input(1))]),
+                (NetId(1), vec![code(Pin::Output(0))]),
             ]
         );
         assert_eq!(csr.pins_on(d, NetId(0)).len(), 2);
@@ -293,5 +352,79 @@ mod tests {
             }
             assert_eq!(csr.cells_of(nt), seen.as_slice(), "net {nt}");
         }
+    }
+
+    /// The Fig. 1 cell M (in {a, b, c}, out {X, Y}; X←{a, b}, Y←{b, c})
+    /// plus a fourth input `g` that no output reads, with pads around it.
+    fn fig1_with_global_input() -> (Hypergraph, CellId) {
+        let mut b = HypergraphBuilder::new();
+        let m = b.add_cell(
+            "M",
+            CellKind::logic(1),
+            4,
+            2,
+            AdjacencyMatrix::from_rows(4, &[&[0, 1], &[1, 2]]),
+        );
+        for (j, name) in ["a", "b", "c", "g"].iter().enumerate() {
+            let pad = b.add_cell(*name, CellKind::input_pad(), 0, 1, AdjacencyMatrix::pad());
+            let n = b.add_net(format!("n{name}"));
+            b.connect_output(n, pad, 0).unwrap();
+            b.connect_input(n, m, j).unwrap();
+        }
+        for (o, name) in ["X", "Y"].iter().enumerate() {
+            let pad = b.add_cell(*name, CellKind::output_pad(), 1, 0, AdjacencyMatrix::pad());
+            let n = b.add_net(format!("n{name}"));
+            b.connect_output(n, m, o).unwrap();
+            b.connect_input(n, pad, 0).unwrap();
+        }
+        (b.finish().unwrap(), m)
+    }
+
+    #[test]
+    fn pin_records_carry_output_dependency_masks() {
+        let (hg, m) = fig1_with_global_input();
+        let csr = CsrGraph::build(&hg);
+        let recs: Vec<PinRec> = csr.groups(m).flat_map(|(_, pins)| pins.to_vec()).collect();
+        let rec = |pin, dep| PinRec {
+            code: encode_pin(pin),
+            dep,
+        };
+        assert_eq!(
+            recs,
+            vec![
+                rec(Pin::Input(0), 0b01),
+                rec(Pin::Input(1), 0b11),
+                rec(Pin::Input(2), 0b10),
+                rec(Pin::Input(3), 0),
+                rec(Pin::Output(0), 1 << 0),
+                rec(Pin::Output(1), 1 << 1),
+            ]
+        );
+        // The replica keeping Y on side 1: a floats there, c floats on
+        // the original's side, b and the global input g connect on both.
+        let st = CellState::Functional {
+            orig_side: 0,
+            replica_mask: 0b10,
+        };
+        let conns: Vec<[bool; 2]> = recs.iter().map(|r| r.conn(st)).collect();
+        assert_eq!(
+            conns,
+            vec![
+                [true, false],
+                [true, true],
+                [false, true],
+                [true, true],
+                [true, false],
+                [false, true],
+            ]
+        );
+        // Pads: an input pad's output carries bit 0, an output pad's
+        // input (no adjacency rows) reads as global.
+        let pad_in = CellId(1);
+        assert_eq!(csr.pins_on(pad_in, hg.cell(m).input_net(0))[0].dep, 1);
+        let pad_x = CellId(5);
+        assert_eq!(csr.pins_on(pad_x, hg.cell(m).output_net(0))[0].dep, 0);
+        assert!(csr.is_terminal(pad_x) && !csr.is_terminal(m));
+        assert_eq!(csr.area(m), 1);
     }
 }

@@ -136,20 +136,23 @@ pub fn extract_rest(
     // Wire nets.
     for nid in hg.net_ids() {
         let net = hg.net(nid);
-        // The parts the net's connected endpoints touch.
-        let parts = {
-            let mut v: Vec<PartId> = Vec::new();
-            for ep in net.endpoints() {
-                v.extend(placement.pin_parts(hg, ep.cell, ep.pin));
+        // Whether the net's connected endpoints touch `rest`, and
+        // whether they touch any other part.
+        let (mut touches_rest, mut touches_elsewhere) = (false, false);
+        for ep in net.endpoints() {
+            for (ci, copy) in placement.copies(ep.cell).iter().enumerate() {
+                if placement.pin_connected(hg, ep.cell, ci, ep.pin) {
+                    if copy.part == rest {
+                        touches_rest = true;
+                    } else {
+                        touches_elsewhere = true;
+                    }
+                }
             }
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        if !parts.contains(&rest) {
+        }
+        if !touches_rest {
             continue; // net lives entirely in carved parts
         }
-        let touches_elsewhere = parts.iter().any(|&p| p != rest);
 
         // Internal driver: the driver pin connected on a rest copy.
         let drv = net.driver();

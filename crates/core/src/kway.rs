@@ -277,6 +277,25 @@ pub fn record_paper_gauges(recorder: &dyn Recorder, eval: &Evaluation, lib: &Dev
     recorder.record(&Event::hist("paper", "devices", bins));
 }
 
+/// The IOBs a whole piece uses on one device: its pins on terminal
+/// cells. With every cell in one part no net crosses and every pin is
+/// connected, so [`Placement::part_terminals`] reduces to this sum —
+/// without building the placement or walking the nets.
+fn whole_piece_terminals(hg: &Hypergraph) -> u64 {
+    let terminals: usize = hg
+        .cells()
+        .iter()
+        .filter(|c| c.is_terminal())
+        .map(|c| c.n_inputs() + c.m_outputs())
+        .sum();
+    debug_assert_eq!(
+        terminals,
+        Placement::new_uniform(hg, 1, PartId(0)).part_terminals(hg, PartId(0)),
+        "one-part IOB count"
+    );
+    terminals as u64
+}
+
 /// One carve attempt against `lib` (the possibly-relaxed library):
 /// returns the global placement and device list, or `None` if the
 /// attempt dead-ends or the clock trips.
@@ -309,8 +328,7 @@ fn carve_once(
             return None;
         }
         let area = piece.hypergraph.total_area();
-        let single = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
-        let terminals = single.part_terminals(&piece.hypergraph, PartId(0)) as u64;
+        let terminals = whole_piece_terminals(&piece.hypergraph);
         let fitting = if prefer_large {
             lib.largest_fitting(area, terminals)
         } else {
@@ -319,6 +337,7 @@ fn carve_once(
         if let Some(dev) = fitting {
             let part = devices.len() as u16;
             let di = lib.index_of(dev.name()).expect("library device");
+            let single = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
             record_part(&piece, &single, PartId(0), part, &mut assignments);
             devices.push(di);
             continue;
@@ -863,6 +882,28 @@ mod tests {
             .with_max_attempts(200)
             .with_seed(1)
             .with_max_passes(8)
+    }
+
+    #[test]
+    fn fit_check_count_matches_part_terminals_on_replicated_pieces() {
+        let hg = mapped(600, 40, 7);
+        let cfg = BipartitionConfig::equal(&hg, 0.1)
+            .with_seed(5)
+            .with_replication(ReplicationMode::functional(0));
+        let p = crate::bipartition(&hg, &cfg)
+            .placement
+            .expect("functional mode exports");
+        assert!(p.replicated_cell_count() > 0, "fixture must replicate");
+        let origin = Extraction::identity(&hg).origin;
+        for rest in [PartId(0), PartId(1)] {
+            let piece = extract_rest(&hg, &p, rest, &origin);
+            let one = Placement::new_uniform(&piece.hypergraph, 1, PartId(0));
+            assert_eq!(
+                whole_piece_terminals(&piece.hypergraph),
+                one.part_terminals(&piece.hypergraph, PartId(0)) as u64,
+                "rest {rest}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! per-move traversal walks contiguous index ranges instead of chasing
 //! the hypergraph's per-cell vectors.
 
-use crate::csr::{decode_pin, CsrGraph};
+use crate::csr::{CsrGraph, PinRec};
 use netpart_hypergraph::{CellCopy, CellId, Hypergraph, NetId, PartId, Pin, Placement};
 use std::sync::Arc;
 
@@ -59,9 +59,6 @@ pub(crate) fn full_mask(m: usize) -> u32 {
         (1u32 << m) - 1
     }
 }
-
-/// Connection flags of one pin: `conn[s]` = connected on side `s`.
-type Conn = [bool; 2];
 
 /// Per-net connected-endpoint counters, packed so one record (16 bytes,
 /// four per cache line) carries everything a cut/occupancy query needs.
@@ -154,23 +151,18 @@ impl<'a> EngineState<'a> {
         };
         for c in hg.cell_ids() {
             let s = sides[c.index()] as usize;
-            st.areas[s] += u64::from(hg.cell(c).area());
-            if hg.cell(c).is_terminal() {
+            st.areas[s] += u64::from(st.csr.area(c));
+            if st.csr.is_terminal(c) {
                 st.pad_cost += terminal_weight[s];
             }
-            let cs = st.state[c.index()];
+            // A single copy connects every pin on its side.
             for (net, pins) in st.csr.groups(c) {
                 let nc = &mut st.counts[net.index()];
-                for &code in pins {
-                    let pin = decode_pin(code);
-                    let conn = Self::pin_conn(hg, c, cs, pin);
-                    for (side, &connected) in conn.iter().enumerate() {
-                        if connected {
-                            match pin {
-                                Pin::Output(_) => nc.drv[side] += 1,
-                                Pin::Input(_) => nc.sink[side] += 1,
-                            }
-                        }
+                for pin in pins {
+                    if pin.is_output() {
+                        nc.drv[s] += 1;
+                    } else {
+                        nc.sink[s] += 1;
                     }
                 }
             }
@@ -236,44 +228,6 @@ impl<'a> EngineState<'a> {
         self.spanning
     }
 
-    /// Connection flags of a pin under a hypothetical state.
-    pub(crate) fn pin_conn(hg: &Hypergraph, c: CellId, state: CellState, pin: Pin) -> Conn {
-        let cell = hg.cell(c);
-        match state {
-            CellState::Single { side } => {
-                let mut conn = [false; 2];
-                conn[side as usize] = true;
-                conn
-            }
-            CellState::Traditional { .. } => [true, true],
-            CellState::Functional {
-                orig_side,
-                replica_mask,
-            } => {
-                let s = orig_side as usize;
-                let full = full_mask(cell.m_outputs());
-                let orig_mask = full & !replica_mask;
-                let mut conn = [false; 2];
-                match pin {
-                    Pin::Output(o) => {
-                        conn[s] = orig_mask & (1 << o) != 0;
-                        conn[1 - s] = replica_mask & (1 << o) != 0;
-                    }
-                    Pin::Input(j) => {
-                        let adj = cell.adjacency();
-                        let j = j as usize;
-                        if adj.is_global_input(j) {
-                            return [true, true];
-                        }
-                        conn[s] = adj.support_of_mask(orig_mask).get(j);
-                        conn[1 - s] = adj.support_of_mask(replica_mask).get(j);
-                    }
-                }
-                conn
-            }
-        }
-    }
-
     /// The paper's *criticality* of the net on pin `pin` of an
     /// unreplicated cell `c`: whether moving that single pin to the other
     /// side would change the net's cut state (used to build the `Q^I`,
@@ -310,7 +264,7 @@ impl<'a> EngineState<'a> {
     /// The objective decrease of moving a terminal cell between sides
     /// under the configured weights (0 for logic cells).
     fn pad_cost_gain(&self, c: CellId, old: CellState, new: CellState) -> i64 {
-        if !self.hg.cell(c).is_terminal() {
+        if !self.csr.is_terminal(c) {
             return 0;
         }
         let side_of = |st: CellState| match st {
@@ -344,7 +298,7 @@ impl<'a> EngineState<'a> {
         net: NetId,
         counts: ([u32; 2], [u32; 2]),
     ) -> i64 {
-        pins_contribution(self.hg, c, old, new, self.csr.pins_on(c, net), counts)
+        pins_contribution(old, new, self.csr.pins_on(c, net), counts)
     }
 
     /// The gain (objective decrease: cut plus weighted pad cost) of
@@ -354,14 +308,14 @@ impl<'a> EngineState<'a> {
         let mut gain = self.pad_cost_gain(c, old, new);
         for (net, pins) in self.csr.groups(c) {
             let nc = self.counts[net.index()];
-            gain += pins_contribution(self.hg, c, old, new, pins, (nc.sink, nc.drv));
+            gain += pins_contribution(old, new, pins, (nc.sink, nc.drv));
         }
         gain
     }
 
     /// Per-side area change of moving `c` to `new`.
     pub fn area_delta(&self, c: CellId, new: CellState) -> [i64; 2] {
-        let a = i64::from(self.hg.cell(c).area());
+        let a = i64::from(self.csr.area(c));
         let occ = |st: CellState| -> [i64; 2] {
             match st {
                 CellState::Single { side } => {
@@ -388,7 +342,6 @@ impl<'a> EngineState<'a> {
         self.pad_cost -= pad_gain;
         let ad = self.area_delta(c, new);
         let mut gain = pad_gain;
-        let hg = self.hg;
         {
             // Split borrows: walk the shared CSR groups while mutating
             // the packed counters in one flat pass per incident net.
@@ -403,19 +356,7 @@ impl<'a> EngineState<'a> {
                 let nc = &mut counts[net.index()];
                 let before = nc.is_cut();
                 let spanned = nc.spans();
-                for &code in pins {
-                    let pin = decode_pin(code);
-                    let oc = Self::pin_conn(hg, c, old, pin);
-                    let npc = Self::pin_conn(hg, c, new, pin);
-                    for side in 0..2 {
-                        let delta = i64::from(npc[side]) - i64::from(oc[side]);
-                        let slot = match pin {
-                            Pin::Output(_) => &mut nc.drv[side],
-                            Pin::Input(_) => &mut nc.sink[side],
-                        };
-                        *slot = (*slot as i64 + delta) as u32;
-                    }
-                }
+                apply_pins(old, new, pins, &mut nc.sink, &mut nc.drv);
                 let after = nc.is_cut();
                 *spanning =
                     (*spanning as i64 + i64::from(nc.spans()) - i64::from(spanned)) as usize;
@@ -528,32 +469,40 @@ pub fn cut_out_of_reach(before: ([u32; 2], [u32; 2]), after: ([u32; 2], [u32; 2]
 }
 
 /// Cut-state contribution of one net's pin group to a state change of
-/// `c`: before minus after, applying only the deltas of `pins` (packed
-/// codes of `c`'s pins on that net) to the explicit `counts`.
+/// its cell: before minus after, applying only the deltas of `pins`
+/// (the cell's pin records on that net) to the explicit `counts`.
 pub(crate) fn pins_contribution(
-    hg: &Hypergraph,
-    c: CellId,
     old: CellState,
     new: CellState,
-    pins: &[u32],
+    pins: &[PinRec],
     counts: ([u32; 2], [u32; 2]),
 ) -> i64 {
     let (mut sc, mut dc) = counts;
     let before = cut_from(sc, dc);
-    for &code in pins {
-        let pin = decode_pin(code);
-        let oc = EngineState::pin_conn(hg, c, old, pin);
-        let nc = EngineState::pin_conn(hg, c, new, pin);
+    apply_pins(old, new, pins, &mut sc, &mut dc);
+    i64::from(before) - i64::from(cut_from(sc, dc))
+}
+
+/// Moves the connected-endpoint counts `(sink, drv)` of one net from
+/// `pins` connected under `old` to `pins` connected under `new`.
+fn apply_pins(
+    old: CellState,
+    new: CellState,
+    pins: &[PinRec],
+    sink: &mut [u32; 2],
+    drv: &mut [u32; 2],
+) {
+    for &pin in pins {
+        let (oc, nc) = (pin.conn(old), pin.conn(new));
+        let slot = if pin.is_output() {
+            &mut *drv
+        } else {
+            &mut *sink
+        };
         for side in 0..2 {
-            let delta = i64::from(nc[side]) - i64::from(oc[side]);
-            let slot = match pin {
-                Pin::Output(_) => &mut dc[side],
-                Pin::Input(_) => &mut sc[side],
-            };
-            *slot = (*slot as i64 + delta) as u32;
+            slot[side] = (slot[side] + u32::from(nc[side])) - u32::from(oc[side]);
         }
     }
-    i64::from(before) - i64::from(cut_from(sc, dc))
 }
 
 #[cfg(test)]

@@ -121,6 +121,34 @@ impl AdjacencyMatrix {
         acc
     }
 
+    /// The outputs that depend on input `j`, as an output mask (bit `o`
+    /// set iff input `j` controls output `o`): column `j` of the matrix.
+    ///
+    /// A copy keeping the outputs in `mask` connects input `j` iff
+    /// `input_mask(j) & mask != 0` or `input_mask(j) == 0` (a [global
+    /// input](Self::is_global_input)) — the allocation-free form of the
+    /// [`support_of_mask`](Self::support_of_mask) test. Only outputs
+    /// `0..32` have a bit (an output mask cannot name more), so the mask
+    /// is exact for cells of at most 32 outputs.
+    ///
+    /// ```
+    /// use netpart_hypergraph::AdjacencyMatrix;
+    ///
+    /// // Fig. 1 cell: X depends on {a, b}, Y depends on {b, c}.
+    /// let adj = AdjacencyMatrix::from_rows(3, &[&[0, 1], &[1, 2]]);
+    /// assert_eq!(adj.input_mask(0), 0b01);
+    /// assert_eq!(adj.input_mask(1), 0b11);
+    /// assert_eq!(adj.input_mask(2), 0b10);
+    /// ```
+    pub fn input_mask(&self, j: usize) -> u32 {
+        self.rows
+            .iter()
+            .take(32)
+            .enumerate()
+            .filter(|(_, r)| r.get(j))
+            .fold(0, |acc, (o, _)| acc | 1 << o)
+    }
+
     /// Returns `true` if input `j` controls no output at all.
     ///
     /// Such "global" inputs (e.g. a clock absorbed into a sequential cell

@@ -181,12 +181,13 @@ impl HypergraphBuilder {
             }
         }
         let mut nets = Vec::with_capacity(self.net_names.len());
-        for (i, name) in self.net_names.into_iter().enumerate() {
+        let named = self.net_names.into_iter().zip(self.sinks);
+        for (i, (name, sinks)) in named.enumerate() {
             let driver = self.drivers[i].ok_or(BuildError::MissingDriver(NetId(i as u32)))?;
             nets.push(Net {
                 name,
                 driver,
-                sinks: std::mem::take(&mut { self.sinks[i].clone() }),
+                sinks,
             });
         }
         Ok(Hypergraph {

@@ -259,15 +259,14 @@ impl Placement {
     /// Panics if any index is out of range.
     pub fn pin_connected(&self, hg: &Hypergraph, cell: CellId, copy: usize, pin: Pin) -> bool {
         let cp = self.copies[cell.index()][copy];
-        let adj = hg.cell(cell).adjacency();
         match pin {
             Pin::Output(o) => cp.outputs & (1 << o) != 0,
             Pin::Input(j) => {
-                let j = j as usize;
-                if self.copies[cell.index()].len() == 1 || adj.is_global_input(j) {
+                if self.copies[cell.index()].len() == 1 {
                     return true;
                 }
-                adj.support_of_mask(cp.outputs).get(j)
+                let dep = hg.cell(cell).adjacency().input_mask(j as usize);
+                dep == 0 || dep & cp.outputs != 0
             }
         }
     }

@@ -135,3 +135,30 @@ fn support_union_and_globals() {
         }
     }
 }
+
+/// `input_mask` is column `j` as an output mask: zero exactly on global
+/// inputs, and it meets an output mask exactly when `support_of_mask`
+/// holds the input — for every input and every mask.
+#[test]
+fn input_mask_matches_support_of_mask() {
+    for (seed, mut rng) in cases(5) {
+        let rows = rows(&mut rng, 7, 16);
+        let (m, n) = (rows.len(), rows[0].len());
+        let adj = AdjacencyMatrix::from_bitvec_rows(
+            n,
+            rows.iter().map(|r| BitVec::from_bools(r)).collect(),
+        );
+        for mask in 0..1u32 << m {
+            let sup = adj.support_of_mask(mask);
+            for j in 0..n {
+                let dep = adj.input_mask(j);
+                assert_eq!(dep == 0, adj.is_global_input(j), "case {seed} input {j}");
+                assert_eq!(
+                    dep & mask != 0,
+                    sup.get(j),
+                    "case {seed} input {j} mask {mask:#b}"
+                );
+            }
+        }
+    }
+}

@@ -22,7 +22,15 @@
 //!
 //! Both strategies must finish every run with `gain_repairs == 0`
 //! (the incremental updates are exact); the example asserts it.
+//!
+//! The last leg times one k-way run (`kway_*` fields): the Table II
+//! `s38584` stand-in at 1/3 scale, carved onto XC3000 with functional
+//! replication at T = 1. Its `pass_ms_kway_suite` series is the wall
+//! time of the whole `kway_partition` per FM pass, so it covers the
+//! replicating gain kernel together with the carve path (fit checks,
+//! extraction) around the many short device-window passes.
 
+use netpart::core::{kway_partition_with_clock, RunClock};
 use netpart::prelude::*;
 use netpart::report::{f2, Table};
 use std::time::Instant;
@@ -35,6 +43,9 @@ const SIZES: &[usize] = &[800, 1500, 3000];
 /// `flat_ms_100000` series across engine revisions.
 const RENT_GATES: usize = 100_000;
 const RENT_P: f64 = 0.65;
+
+/// The k-way leg's circuit: a Table II stand-in and its scale-down.
+const KWAY_CIRCUIT: (&str, usize) = ("s38584", 3);
 
 fn circuit(gates: usize) -> Result<Hypergraph, Box<dyn std::error::Error>> {
     let nl = generate(
@@ -147,6 +158,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     snap.set_gauge("rent100k_pass_ms", pass_ms);
     snap.set_gauge("rent100k_cut", r.cut as f64);
     snap.set_gauge("rent100k_passes", r.passes as f64);
+
+    // k-way leg: one suite-scale `kway_partition`, best of `reps`.
+    let (name, scale) = KWAY_CIRCUIT;
+    let nl = bench_suite::build_scaled(name, scale).expect("suite circuit");
+    let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
+    let cfg = KWayConfig::new(DeviceLibrary::xc3000())
+        .with_candidates(3)
+        .with_seed(1)
+        .with_max_passes(8)
+        .with_replication(ReplicationMode::functional(1));
+    let mut best_ms = f64::INFINITY;
+    let mut kway = None;
+    for _ in 0..reps {
+        let clock = RunClock::new(&Budget::none(), &FaultPlan::none());
+        let t0 = Instant::now();
+        let r = kway_partition_with_clock(&hg, &cfg, &clock)?;
+        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        assert!(r.evaluation.feasible, "kway: infeasible result");
+        kway = Some((r, clock.passes()));
+    }
+    let (r, passes) = kway.expect("reps >= 1");
+    let pass_ms = best_ms / passes as f64;
+    println!(
+        "k-way, {name}/{scale} ({} CLBs, functional T = 1): {} devices, ${} in {passes} \
+         passes, {} ms total, {} ms/pass",
+        hg.stats().clbs,
+        r.devices.len(),
+        r.evaluation.total_cost,
+        f2(best_ms),
+        f2(pass_ms),
+    );
+    snap.set_timing("kway_ms", best_ms as u64);
+    snap.set_gauge("pass_ms_kway_suite", pass_ms);
+    snap.set_gauge("kway_passes", passes as f64);
+    snap.set_gauge("kway_cost", r.evaluation.total_cost as f64);
 
     std::fs::write("BENCH_fm.json", snap.to_json())?;
     println!("archived to BENCH_fm.json");
