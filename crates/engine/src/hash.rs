@@ -161,19 +161,19 @@ impl ContentHash for Netlist {
         }
         h.write_usize(self.n_gates());
         for g in self.gates() {
-            h.write_str(&g.name);
-            h.write_str(g.kind.mnemonic());
-            if let netpart_netlist::GateKind::Lut { cover } = &g.kind {
-                h.write_usize(cover.len());
-                for row in cover {
+            h.write_str(g.name());
+            h.write_str(g.kind().mnemonic());
+            if g.kind() == netpart_netlist::GateKind::Lut {
+                h.write_usize(g.cover().len());
+                for row in g.cover() {
                     h.write_str(row);
                 }
             }
-            h.write_usize(g.inputs.len());
-            for s in &g.inputs {
+            h.write_usize(g.inputs().len());
+            for s in g.inputs() {
                 h.write_u32(s.0);
             }
-            h.write_u32(g.output.0);
+            h.write_u32(g.output().0);
         }
         h.write_usize(self.primary_inputs().len());
         for s in self.primary_inputs() {

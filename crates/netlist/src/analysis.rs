@@ -14,24 +14,24 @@ use std::collections::BTreeSet;
 /// of the network is cyclic.
 pub fn topo_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
     let n = nl.n_gates();
-    let mut indegree = vec![0usize; n];
+    let mut indegree = vec![0u32; n];
     let fanouts = nl.fanout_index();
-    for g in nl.gate_ids() {
-        if nl.gate(g).kind.is_dff() {
+    for g in nl.gates() {
+        if g.kind().is_dff() {
             continue; // DFF consumes its input after the clock edge
         }
-        for &s in &nl.gate(g).inputs {
-            if let Driver::Gate(_) = nl.driver(s) {
-                indegree[g.index()] += 1;
-            }
-        }
+        indegree[g.id().index()] = g
+            .inputs()
+            .iter()
+            .filter(|&&s| matches!(nl.driver(s), Driver::Gate(_)))
+            .count() as u32;
     }
     let mut queue: Vec<GateId> = nl.gate_ids().filter(|g| indegree[g.index()] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(g) = queue.pop() {
         order.push(g);
-        for &reader in &fanouts[nl.gate(g).output.index()] {
-            if nl.gate(reader).kind.is_dff() {
+        for &reader in fanouts.readers(nl.gate(g).output()) {
+            if nl.gate(reader).kind().is_dff() {
                 continue;
             }
             indegree[reader.index()] -= 1;
@@ -58,13 +58,13 @@ pub fn levelize(nl: &Netlist) -> Result<Vec<u32>, NetlistError> {
     let order = topo_order(nl)?;
     let mut level = vec![0u32; nl.n_gates()];
     for g in order {
-        if nl.gate(g).kind.is_dff() {
+        if nl.gate(g).kind().is_dff() {
             continue;
         }
         let mut lvl = 0;
-        for &s in &nl.gate(g).inputs {
+        for &s in nl.gate(g).inputs() {
             if let Driver::Gate(d) = nl.driver(s) {
-                if !nl.gate(d).kind.is_dff() {
+                if !nl.gate(d).kind().is_dff() {
                     lvl = lvl.max(level[d.index()] + 1);
                     continue;
                 }
@@ -91,11 +91,11 @@ pub fn transitive_support(nl: &Netlist, signal: SignalId) -> BTreeSet<SignalId> 
             Driver::PrimaryInput => {
                 support.insert(s);
             }
-            Driver::Gate(g) if nl.gate(g).kind.is_dff() => {
+            Driver::Gate(g) if nl.gate(g).kind().is_dff() => {
                 support.insert(s);
             }
             Driver::Gate(g) => {
-                stack.extend(nl.gate(g).inputs.iter().copied());
+                stack.extend(nl.gate(g).inputs().iter().copied());
             }
             Driver::None => {}
         }
@@ -130,18 +130,22 @@ impl NetlistStats {
     /// Panics if the netlist has a combinational cycle (validate first).
     pub fn of(nl: &Netlist) -> Self {
         let levels = levelize(nl).expect("netlist must be acyclic");
-        let comb: Vec<_> = nl.gates().iter().filter(|g| !g.kind.is_dff()).collect();
-        let fanin_sum: usize = comb.iter().map(|g| g.inputs.len()).sum();
+        let (comb, fanin_sum) = nl
+            .gates()
+            .filter(|g| !g.kind().is_dff())
+            .fold((0usize, 0usize), |(n, sum), g| {
+                (n + 1, sum + g.inputs().len())
+            });
         NetlistStats {
             gates: nl.n_gates(),
             pis: nl.primary_inputs().len(),
             pos: nl.primary_outputs().len(),
             dffs: nl.n_dffs(),
             signals: nl.n_signals(),
-            avg_fanin: if comb.is_empty() {
+            avg_fanin: if comb == 0 {
                 0.0
             } else {
-                fanin_sum as f64 / comb.len() as f64
+                fanin_sum as f64 / comb as f64
             },
             max_level: levels.iter().copied().max().unwrap_or(0),
         }

@@ -2,7 +2,8 @@
 //! Format (BLIF): `.model`, `.inputs`, `.outputs`, `.names` (with cover
 //! rows), `.latch` and `.end`, with `\` line continuation.
 
-use crate::model::{GateKind, Netlist, NetlistError, SignalId};
+use crate::model::{Gate, GateKind, Netlist, NetlistError, SignalId};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -85,114 +86,109 @@ impl Error for ParseBlifError {
 /// # Ok::<(), netpart_netlist::ParseBlifError>(())
 /// ```
 pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
-    let mut nl = Netlist::new("top");
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-    let mut pending: Option<(usize, Vec<String>, Vec<String>)> = None; // (.names line, tokens, cover)
-
-    // Join continuation lines, remembering the first physical line number.
-    let mut logical: Vec<(usize, String)> = Vec::new();
-    let mut acc = String::new();
-    let mut acc_line = 0usize;
+    let mut parser = Parser {
+        nl: Netlist::new("top"),
+        outputs: Vec::new(),
+        names_line: None,
+        names: Vec::new(),
+        cover: Vec::new(),
+        signals: Vec::new(),
+    };
+    // One logical line is a group of physical lines joined by trailing
+    // `\`s; it is numbered by its first physical line. Tokens never span
+    // a join (the join inserts a space), so a group is processed as the
+    // token stream of its parts, borrowed from `src`.
+    let mut parts: Vec<&str> = Vec::new();
+    let mut tokens: Vec<&str> = Vec::new();
+    let mut group_line = 0usize;
     for (i, raw) in src.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim_end();
-        if acc.is_empty() {
-            acc_line = i + 1;
+        if parts.is_empty() {
+            group_line = i + 1;
         }
         if let Some(stripped) = line.strip_suffix('\\') {
-            acc.push_str(stripped);
-            acc.push(' ');
+            parts.push(stripped);
             continue;
         }
-        acc.push_str(line);
-        if !acc.trim().is_empty() {
-            logical.push((acc_line, std::mem::take(&mut acc)));
-        } else {
-            acc.clear();
+        parts.push(line);
+        tokens.clear();
+        tokens.extend(parts.iter().flat_map(|p| p.split_whitespace()));
+        if !tokens.is_empty() && !parser.logical_line(group_line, &parts, &tokens)? {
+            break; // `.end`
         }
+        parts.clear();
     }
+    parser.finish()
+}
 
-    let flush_names = |nl: &mut Netlist,
-                       pend: &mut Option<(usize, Vec<String>, Vec<String>)>|
-     -> Result<(), ParseBlifError> {
-        if let Some((line, tokens, cover)) = pend.take() {
-            let (ins, out) = tokens.split_at(tokens.len() - 1);
-            let inputs: Vec<SignalId> = ins
-                .iter()
-                .map(|n| intern(nl, n))
-                .collect::<Result<_, _>>()
-                .map_err(|source| ParseBlifError::Netlist { line, source })?;
-            let out_sig =
-                intern(nl, &out[0]).map_err(|source| ParseBlifError::Netlist { line, source })?;
-            nl.add_gate(
-                format!("names_{}", out[0]),
-                GateKind::Lut { cover },
-                inputs,
-                out_sig,
-            )
-            .map_err(|source| ParseBlifError::Netlist { line, source })?;
-        }
-        Ok(())
-    };
+/// Parser state between logical lines.
+struct Parser<'src> {
+    nl: Netlist,
+    /// `.outputs` names with their line, resolved at the end.
+    outputs: Vec<(usize, &'src str)>,
+    /// The pending `.names`: its line, its signal names and cover rows.
+    names_line: Option<usize>,
+    names: Vec<&'src str>,
+    cover: Vec<Cow<'src, str>>,
+    /// Scratch for a gate's interned input signals.
+    signals: Vec<SignalId>,
+}
 
-    for (line, text) in logical {
-        let text = text.trim();
-        if text.starts_with('.') {
-            flush_names(&mut nl, &mut pending)?;
+impl<'src> Parser<'src> {
+    /// Handles one non-blank logical line; `false` at `.end`.
+    fn logical_line(
+        &mut self,
+        line: usize,
+        parts: &[&'src str],
+        tokens: &[&'src str],
+    ) -> Result<bool, ParseBlifError> {
+        let head = tokens[0];
+        if head.starts_with('.') {
+            self.flush_names()?;
         }
-        let mut tok = text.split_whitespace();
-        let head = tok.next().unwrap_or("");
+        let netlist_err = |source| ParseBlifError::Netlist { line, source };
         match head {
             ".model" => {
-                let name = tok.next().unwrap_or("top");
-                let mut renamed = Netlist::new(name);
-                std::mem::swap(&mut renamed, &mut nl);
-                // Keep any content accumulated before `.model` (none in
-                // well-formed files).
-                if renamed.n_signals() > 0 {
+                // Content before `.model` does not occur in well-formed
+                // files.
+                if self.nl.n_signals() > 0 {
                     return Err(ParseBlifError::Malformed {
                         line,
                         what: ".model after content".into(),
                     });
                 }
+                self.nl.set_name(tokens.get(1).copied().unwrap_or("top"));
             }
             ".inputs" => {
-                for name in tok {
-                    nl.add_primary_input(name)
-                        .map_err(|source| ParseBlifError::Netlist { line, source })?;
+                for name in &tokens[1..] {
+                    self.nl.add_primary_input(name).map_err(netlist_err)?;
                 }
             }
-            ".outputs" => {
-                for name in tok {
-                    outputs.push((line, name.to_string()));
-                }
-            }
+            ".outputs" => self.outputs.extend(tokens[1..].iter().map(|&n| (line, n))),
             ".names" => {
-                let tokens: Vec<String> = tok.map(str::to_string).collect();
-                if tokens.is_empty() {
+                if tokens.len() == 1 {
                     return Err(ParseBlifError::Malformed {
                         line,
                         what: ".names needs at least an output".into(),
                     });
                 }
-                pending = Some((line, tokens, Vec::new()));
+                self.names_line = Some(line);
+                self.names.extend_from_slice(&tokens[1..]);
             }
             ".latch" => {
-                let d = tok.next();
-                let q = tok.next();
-                let (Some(d), Some(q)) = (d, q) else {
+                let (Some(&d), Some(&q)) = (tokens.get(1), tokens.get(2)) else {
                     return Err(ParseBlifError::Malformed {
                         line,
                         what: ".latch needs input and output".into(),
                     });
                 };
-                let d_sig = intern(&mut nl, d)
-                    .map_err(|source| ParseBlifError::Netlist { line, source })?;
-                let q_sig = intern(&mut nl, q)
-                    .map_err(|source| ParseBlifError::Netlist { line, source })?;
-                nl.add_gate(format!("latch_{q}"), GateKind::Dff, vec![d_sig], q_sig)
-                    .map_err(|source| ParseBlifError::Netlist { line, source })?;
+                let d_sig = self.nl.intern(d);
+                let q_sig = self.nl.intern(q);
+                self.nl
+                    .push_gate::<&str>(&["latch_", q], GateKind::Dff, &[], &[d_sig], q_sig)
+                    .map_err(netlist_err)?;
             }
-            ".end" => break,
+            ".end" => return Ok(false),
             _ if head.starts_with('.') => {
                 return Err(ParseBlifError::Malformed {
                     line,
@@ -200,38 +196,65 @@ pub fn parse_blif(src: &str) -> Result<Netlist, ParseBlifError> {
                 });
             }
             _ => {
-                // A cover row of the pending `.names`.
-                match &mut pending {
-                    Some((_, _, cover)) => cover.push(text.to_string()),
-                    None => {
-                        return Err(ParseBlifError::Malformed {
-                            line,
-                            what: "cover row outside .names".into(),
-                        })
-                    }
+                // A cover row of the pending `.names`, kept as the trimmed
+                // text of the logical line.
+                if self.names_line.is_none() {
+                    return Err(ParseBlifError::Malformed {
+                        line,
+                        what: "cover row outside .names".into(),
+                    });
                 }
+                self.cover.push(match parts {
+                    [one] => Cow::Borrowed(one.trim()),
+                    _ => Cow::Owned(parts.join(" ").trim().to_string()),
+                });
             }
         }
+        Ok(true)
     }
-    flush_names(&mut nl, &mut pending)?;
 
-    for (line, name) in outputs {
-        let sig = nl
-            .signal_by_name(&name)
-            .ok_or_else(|| ParseBlifError::UnknownOutput {
-                line,
-                name: name.clone(),
-            })?;
-        nl.add_primary_output(sig)
+    /// Adds the pending `.names` gate, if any.
+    fn flush_names(&mut self) -> Result<(), ParseBlifError> {
+        let Some(line) = self.names_line.take() else {
+            return Ok(());
+        };
+        let (&out, ins) = self.names.split_last().expect(".names has an output");
+        self.signals.clear();
+        for name in ins {
+            let s = self.nl.intern(name);
+            self.signals.push(s);
+        }
+        let out_sig = self.nl.intern(out);
+        self.nl
+            .push_gate(
+                &["names_", out],
+                GateKind::Lut,
+                &self.cover,
+                &self.signals,
+                out_sig,
+            )
             .map_err(|source| ParseBlifError::Netlist { line, source })?;
+        self.names.clear();
+        self.cover.clear();
+        Ok(())
     }
-    Ok(nl)
-}
 
-fn intern(nl: &mut Netlist, name: &str) -> Result<SignalId, NetlistError> {
-    match nl.signal_by_name(name) {
-        Some(s) => Ok(s),
-        None => nl.add_signal(name),
+    /// Flushes the last `.names` and resolves `.outputs`.
+    fn finish(mut self) -> Result<Netlist, ParseBlifError> {
+        self.flush_names()?;
+        for &(line, name) in &self.outputs {
+            let sig =
+                self.nl
+                    .signal_by_name(name)
+                    .ok_or_else(|| ParseBlifError::UnknownOutput {
+                        line,
+                        name: name.to_string(),
+                    })?;
+            self.nl
+                .add_primary_output(sig)
+                .map_err(|source| ParseBlifError::Netlist { line, source })?;
+        }
+        Ok(self.nl)
     }
 }
 
@@ -242,67 +265,71 @@ fn intern(nl: &mut Netlist, name: &str) -> Result<SignalId, NetlistError> {
 pub fn write_blif(nl: &Netlist) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".model {}", nl.name());
-    if !nl.primary_inputs().is_empty() {
-        let names: Vec<&str> = nl
-            .primary_inputs()
-            .iter()
-            .map(|&s| nl.signal_name(s))
-            .collect();
-        let _ = writeln!(out, ".inputs {}", names.join(" "));
-    }
-    if !nl.primary_outputs().is_empty() {
-        let names: Vec<&str> = nl
-            .primary_outputs()
-            .iter()
-            .map(|&s| nl.signal_name(s))
-            .collect();
-        let _ = writeln!(out, ".outputs {}", names.join(" "));
-    }
+    let mut signal_line = |directive: &str, signals: &[SignalId]| {
+        if !signals.is_empty() {
+            out.push_str(directive);
+            for &s in signals {
+                out.push(' ');
+                out.push_str(nl.signal_name(s));
+            }
+            out.push('\n');
+        }
+    };
+    signal_line(".inputs", nl.primary_inputs());
+    signal_line(".outputs", nl.primary_outputs());
     for g in nl.gates() {
-        if g.kind.is_dff() {
+        if g.kind().is_dff() {
             let _ = writeln!(
                 out,
                 ".latch {} {} re clk 0",
-                nl.signal_name(g.inputs[0]),
-                nl.signal_name(g.output)
+                nl.signal_name(g.inputs()[0]),
+                nl.signal_name(g.output())
             );
             continue;
         }
-        let mut names: Vec<&str> = g.inputs.iter().map(|&s| nl.signal_name(s)).collect();
-        names.push(nl.signal_name(g.output));
-        let _ = writeln!(out, ".names {}", names.join(" "));
-        for row in cover_rows(&g.kind, g.inputs.len()) {
-            let _ = writeln!(out, "{row}");
+        out.push_str(".names");
+        for &s in g.inputs().iter().chain([&g.output()]) {
+            out.push(' ');
+            out.push_str(nl.signal_name(s));
         }
+        out.push('\n');
+        write_cover(&mut out, g);
     }
     out.push_str(".end\n");
     out
 }
 
-/// The canonical sum-of-products cover rows for a primitive gate.
-fn cover_rows(kind: &GateKind, n: usize) -> Vec<String> {
-    match kind {
-        GateKind::Buf => vec!["1 1".into()],
-        GateKind::Not => vec!["0 1".into()],
-        GateKind::And => vec![format!("{} 1", "1".repeat(n))],
-        GateKind::Nor => vec![format!("{} 1", "0".repeat(n))],
-        GateKind::Or => (0..n)
-            .map(|i| {
-                let mut row = vec!['-'; n];
-                row[i] = '1';
-                format!("{} 1", row.iter().collect::<String>())
-            })
-            .collect(),
-        GateKind::Nand => (0..n)
-            .map(|i| {
-                let mut row = vec!['-'; n];
-                row[i] = '0';
-                format!("{} 1", row.iter().collect::<String>())
-            })
-            .collect(),
-        GateKind::Xor => vec!["01 1".into(), "10 1".into()],
-        GateKind::Xnor => vec!["00 1".into(), "11 1".into()],
-        GateKind::Lut { cover } => cover.clone(),
+/// Appends a gate's cover rows: its own for a LUT, the canonical
+/// sum-of-products cover for a primitive gate.
+fn write_cover(out: &mut String, g: Gate<'_>) {
+    let n = g.inputs().len();
+    let mut one_hot = |hot: char| {
+        for i in 0..n {
+            for j in 0..n {
+                out.push(if i == j { hot } else { '-' });
+            }
+            out.push_str(" 1\n");
+        }
+    };
+    match g.kind() {
+        GateKind::Buf => out.push_str("1 1\n"),
+        GateKind::Not => out.push_str("0 1\n"),
+        GateKind::And => {
+            let _ = writeln!(out, "{} 1", "1".repeat(n));
+        }
+        GateKind::Nor => {
+            let _ = writeln!(out, "{} 1", "0".repeat(n));
+        }
+        GateKind::Or => one_hot('1'),
+        GateKind::Nand => one_hot('0'),
+        GateKind::Xor => out.push_str("01 1\n10 1\n"),
+        GateKind::Xnor => out.push_str("00 1\n11 1\n"),
+        GateKind::Lut => {
+            for row in g.cover() {
+                out.push_str(row);
+                out.push('\n');
+            }
+        }
         GateKind::Dff => unreachable!("DFFs are written as .latch"),
     }
 }
@@ -310,7 +337,7 @@ fn cover_rows(kind: &GateKind, n: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::GateKind;
+    use crate::model::GateId;
 
     #[test]
     fn parse_simple_model() {
@@ -442,11 +469,54 @@ c
         }
     }
 
+    /// Errors report the first physical line of the offending directive,
+    /// counting continued, comment and blank lines before it.
+    #[test]
+    fn error_lines_count_continued_and_comment_lines() {
+        let head = "# header\n.model t\n.inputs a \\\n  b\n# comment\n\n.names a b \\\n w\n11 1\n";
+        let src = format!("{head}.gate and2 A=a\n.end\n");
+        assert!(matches!(
+            parse_blif(&src).unwrap_err(),
+            ParseBlifError::Malformed { line: 10, .. }
+        ));
+
+        let src =
+            format!("{head}   # indented comment \\\n.names b \\\n   w  # again\n0 1\n.end\n");
+        match parse_blif(&src).unwrap_err() {
+            ParseBlifError::Netlist { line, source } => {
+                assert_eq!(line, 11);
+                assert!(matches!(source, NetlistError::SignalAlreadyDriven(_)));
+            }
+            e => panic!("unexpected error {e}"),
+        }
+
+        let src = format!("{head}.inputs c \\\n\\\n  a\n.end\n");
+        match parse_blif(&src).unwrap_err() {
+            ParseBlifError::Netlist { line, source } => {
+                assert_eq!(line, 10);
+                assert!(matches!(source, NetlistError::DuplicateSignalName(_)));
+            }
+            e => panic!("unexpected error {e}"),
+        }
+    }
+
+    /// Cover rows keep their text exactly, including the spacing a `\`
+    /// continuation leaves inside a row.
+    #[test]
+    fn continued_cover_row_text_is_kept() {
+        let src = ".model t\n.inputs a b\n.outputs y\n.names a b y\n  1- \\\n 1  \n-1 1\n.end\n";
+        let nl = parse_blif(src).unwrap();
+        let g = nl.gate(GateId(0));
+        assert_eq!(g.kind(), GateKind::Lut);
+        assert_eq!(g.cover().collect::<Vec<_>>(), ["1-   1", "-1 1"]);
+    }
+
     #[test]
     fn constant_names_allowed() {
         let src = ".model t\n.outputs k\n.names k\n1\n.end\n";
         let nl = parse_blif(src).unwrap();
         assert_eq!(nl.n_gates(), 1);
-        assert!(matches!(nl.gates()[0].kind, GateKind::Lut { .. }));
+        assert_eq!(nl.gate(GateId(0)).kind(), GateKind::Lut);
+        assert_eq!(nl.gate(GateId(0)).cover().collect::<Vec<_>>(), ["1"]);
     }
 }

@@ -316,7 +316,7 @@ mod tests {
             let mut sum = 0.0f64;
             let mut count = 0.0f64;
             for g in nl.gate_ids() {
-                for &s in &nl.gate(g).inputs {
+                for &s in nl.gate(g).inputs() {
                     if let crate::model::Driver::Gate(d) = nl.driver(s) {
                         sum += (g.index() as f64 - d.index() as f64).abs();
                         count += 1.0;
@@ -345,8 +345,7 @@ mod tests {
         let po: std::collections::HashSet<_> = nl.primary_outputs().iter().collect();
         let dangling = nl
             .gates()
-            .iter()
-            .filter(|g| idx[g.output.index()].is_empty() && !po.contains(&g.output))
+            .filter(|g| idx.readers(g.output()).is_empty() && !po.contains(&g.output()))
             .count();
         assert!(
             dangling < nl.n_gates() / 5,
@@ -367,7 +366,7 @@ mod tests {
     /// window plus outputs read outside it (or exported as POs).
     fn region_terminals(
         nl: &Netlist,
-        fanout: &[Vec<crate::model::GateId>],
+        fanout: &crate::model::FanoutIndex,
         po: &std::collections::HashSet<SignalId>,
         lo: usize,
         hi: usize,
@@ -376,7 +375,7 @@ mod tests {
         let mut crossing = std::collections::HashSet::new();
         for gi in lo..hi {
             let g = nl.gate(crate::model::GateId(gi as u32));
-            for &s in &g.inputs {
+            for &s in g.inputs() {
                 let external = match nl.driver(s) {
                     crate::model::Driver::Gate(d) => !inside(d),
                     _ => true,
@@ -385,8 +384,8 @@ mod tests {
                     crossing.insert(s);
                 }
             }
-            let s = g.output;
-            if po.contains(&s) || fanout[s.index()].iter().any(|&r| !inside(r)) {
+            let s = g.output();
+            if po.contains(&s) || fanout.readers(s).iter().any(|&r| !inside(r)) {
                 crossing.insert(s);
             }
         }

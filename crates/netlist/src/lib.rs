@@ -35,4 +35,4 @@ pub mod sim;
 pub use analysis::{levelize, topo_order, transitive_support, NetlistStats};
 pub use blif::{parse_blif, write_blif, ParseBlifError};
 pub use generate::{generate, GeneratorConfig};
-pub use model::{Driver, Gate, GateId, GateKind, Netlist, NetlistError, SignalId};
+pub use model::{Driver, FanoutIndex, Gate, GateId, GateKind, Netlist, NetlistError, SignalId};

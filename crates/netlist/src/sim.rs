@@ -7,7 +7,7 @@
 //! preserve circuit behaviour.
 
 use crate::analysis::topo_order;
-use crate::model::{GateKind, Netlist, NetlistError, SignalId};
+use crate::model::{Gate, GateKind, Netlist, NetlistError, SignalId};
 
 /// A simulation trace: primary-output values per cycle.
 pub type Trace = Vec<Vec<bool>>;
@@ -18,7 +18,7 @@ pub type Trace = Vec<Vec<bool>>;
 /// the output to the row's value (standard BLIF single-phase semantics:
 /// all rows carry the same output phase; we honour `1` rows as ON-set and
 /// `0` rows as OFF-set complement).
-fn eval_cover(cover: &[String], inputs: &[bool]) -> bool {
+fn eval_cover<'a>(cover: impl Iterator<Item = &'a str>, inputs: &[bool]) -> bool {
     let mut on_phase = true;
     let mut matched = false;
     for row in cover {
@@ -49,8 +49,8 @@ fn eval_cover(cover: &[String], inputs: &[bool]) -> bool {
 }
 
 /// Evaluates one gate.
-fn eval_gate(kind: &GateKind, inputs: &[bool]) -> bool {
-    match kind {
+fn eval_gate(gate: Gate<'_>, inputs: &[bool]) -> bool {
+    match gate.kind() {
         GateKind::Buf => inputs[0],
         GateKind::Not => !inputs[0],
         GateKind::And => inputs.iter().all(|&x| x),
@@ -59,7 +59,7 @@ fn eval_gate(kind: &GateKind, inputs: &[bool]) -> bool {
         GateKind::Nor => !inputs.iter().any(|&x| x),
         GateKind::Xor => inputs[0] ^ inputs[1],
         GateKind::Xnor => !(inputs[0] ^ inputs[1]),
-        GateKind::Lut { cover } => eval_cover(cover, inputs),
+        GateKind::Lut => eval_cover(gate.cover(), inputs),
         GateKind::Dff => unreachable!("DFFs are evaluated at clock edges"),
     }
 }
@@ -88,11 +88,11 @@ pub fn simulate(nl: &Netlist, stimuli: &[Vec<bool>]) -> Result<Trace, NetlistErr
         }
         for &g in &order {
             let gate = nl.gate(g);
-            if gate.kind.is_dff() {
+            if gate.kind().is_dff() {
                 continue;
             }
-            let ins: Vec<bool> = gate.inputs.iter().map(|s| values[s.index()]).collect();
-            values[gate.output.index()] = eval_gate(&gate.kind, &ins);
+            let ins: Vec<bool> = gate.inputs().iter().map(|s| values[s.index()]).collect();
+            values[gate.output().index()] = eval_gate(gate, &ins);
         }
         trace.push(
             nl.primary_outputs()
@@ -103,9 +103,8 @@ pub fn simulate(nl: &Netlist, stimuli: &[Vec<bool>]) -> Result<Trace, NetlistErr
         // Clock edge: every DFF captures its D input.
         let next: Vec<(SignalId, bool)> = nl
             .gates()
-            .iter()
-            .filter(|g| g.kind.is_dff())
-            .map(|g| (g.output, values[g.inputs[0].index()]))
+            .filter(|g| g.kind().is_dff())
+            .map(|g| (g.output(), values[g.inputs()[0].index()]))
             .collect();
         for (q, v) in next {
             values[q.index()] = v;

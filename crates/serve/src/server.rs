@@ -35,9 +35,8 @@ use netpart_core::PartitionError;
 use netpart_engine::{bipartition_key, kway_key, Engine, Fnv1a};
 use netpart_fpga::DeviceLibrary;
 use netpart_hypergraph::Hypergraph;
-use netpart_netlist::parse_blif;
 use netpart_obs::{Event, Level, MetricsRegistry, NoopRecorder, Recorder, Span, Tee, TIMING_SCOPE};
-use netpart_techmap::{decompose_wide_gates, map, MapperConfig};
+use netpart_techmap::{ingest_blif, MapperConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -586,13 +585,8 @@ impl Server {
         let blif = std::fs::read_to_string(&nl_path)
             .map_err(|e| ServeError::io(format!("read {}: {e}", nl_path.display())))?;
         let invalid = |what: String| ServeError::Partition(PartitionError::invalid_input(what));
-        let nl = parse_blif(&blif).map_err(|e| invalid(format!("{}: {e}", spec.netlist)))?;
-        nl.validate()
+        let (_, hg) = ingest_blif(&blif, &MapperConfig::xc3000())
             .map_err(|e| invalid(format!("{}: {e}", spec.netlist)))?;
-        let nl = decompose_wide_gates(&nl, 5);
-        let hg = map(&nl, &MapperConfig::xc3000())
-            .map_err(|e| invalid(format!("{}: {e}", spec.netlist)))?
-            .to_hypergraph(&nl);
         let key = match spec.cmd {
             JobCmd::Bipartition => {
                 bipartition_key(&hg, &spec.bipartition_config(&hg), spec.runs)

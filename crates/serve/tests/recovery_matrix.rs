@@ -359,3 +359,27 @@ fn corrupt_spec_quarantines_immediately() {
     }
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+/// A netlist wider than a LUT is invalid input: the shared ingest path
+/// reports a typed mapping error (no panic), and the job quarantines on
+/// its first attempt with the exit code of invalid input.
+#[test]
+fn wide_names_netlist_quarantines_as_invalid_input() {
+    let spool = tdir("wide-names");
+    let wide = ".model w\n.inputs a b c d e f\n.outputs y\n.names a b c d e f y\n111111 1\n.end\n";
+    match submit_job(&spool, "wide", wide, &kway_spec(), 64).expect("submit") {
+        SubmitOutcome::Submitted { .. } => {}
+        other => panic!("unexpected submit outcome: {other:?}"),
+    }
+    let mut server = Server::open(&spool, base_cfg(), None).expect("open");
+    let report = server.run().expect("run settles");
+    assert_eq!(report.quarantined, 1);
+    match &server.queue().get("wide").expect("known").state {
+        JobState::Quarantined { attempts, msg } => {
+            assert_eq!(*attempts, 1, "no retries for permanent errors");
+            assert!(msg.contains("exceeding the 5-input LUT limit"), "{msg}");
+        }
+        other => panic!("expected quarantine, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&spool);
+}

@@ -21,7 +21,7 @@ pub struct LutCone {
 pub(crate) fn consumer_counts(nl: &Netlist) -> Vec<usize> {
     let mut counts = vec![0usize; nl.n_signals()];
     for g in nl.gates() {
-        for &s in &g.inputs {
+        for &s in g.inputs() {
             counts[s.index()] += 1;
         }
     }
@@ -44,28 +44,46 @@ pub(crate) fn consumer_counts(nl: &Netlist) -> Vec<usize> {
 /// exceeds `k` inputs (see
 /// [`decompose_wide_gates`](crate::decompose_wide_gates)).
 pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
-    for (i, g) in nl.gates().iter().enumerate() {
-        if !g.kind.is_dff() && g.inputs.len() > k {
-            return Err(MapError::FaninTooLarge {
-                gate: GateId(i as u32),
-                fanin: g.inputs.len(),
-                limit: k,
-            });
-        }
-    }
+    check_fanin(nl, k)?;
     let order = topo_order(nl)?;
-    let consumers = consumer_counts(nl);
+    Ok(cover_in_order(nl, k, &order, &consumer_counts(nl)))
+}
+
+/// Rejects a combinational gate wider than `k` inputs.
+pub(crate) fn check_fanin(nl: &Netlist, k: usize) -> Result<(), MapError> {
+    match nl
+        .gates()
+        .find(|g| !g.kind().is_dff() && g.inputs().len() > k)
+    {
+        Some(g) => Err(MapError::FaninTooLarge {
+            gate: g.id(),
+            fanin: g.inputs().len(),
+            limit: k,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// [`cover`] on a netlist already checked by [`check_fanin`], given its
+/// combinational topological order and [`consumer_counts`].
+pub(crate) fn cover_in_order(
+    nl: &Netlist,
+    k: usize,
+    order: &[GateId],
+    consumers: &[usize],
+) -> Vec<LutCone> {
     let mut absorbed = vec![false; nl.n_gates()];
     let mut cones = Vec::new();
+    let mut merged: Vec<SignalId> = Vec::new();
 
     // Reverse topological order: consumers are processed before producers,
     // so any unabsorbed gate we reach must root its own cone.
     for &g in order.iter().rev() {
         let gate = nl.gate(g);
-        if gate.kind.is_dff() || absorbed[g.index()] {
+        if gate.kind().is_dff() || absorbed[g.index()] {
             continue;
         }
-        let mut leaves: Vec<SignalId> = gate.inputs.clone();
+        let mut leaves: Vec<SignalId> = gate.inputs().to_vec();
         leaves.sort_unstable();
         leaves.dedup();
         let mut gates = vec![g];
@@ -79,12 +97,13 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
                     continue;
                 };
                 let dg = nl.gate(d);
-                if dg.kind.is_dff() || absorbed[d.index()] || consumers[s.index()] != 1 {
+                if dg.kind().is_dff() || absorbed[d.index()] || consumers[s.index()] != 1 {
                     continue;
                 }
-                let mut merged = leaves.clone();
-                merged.remove(li);
-                merged.extend(dg.inputs.iter().copied());
+                merged.clear();
+                merged.extend_from_slice(&leaves[..li]);
+                merged.extend_from_slice(&leaves[li + 1..]);
+                merged.extend_from_slice(dg.inputs());
                 merged.sort_unstable();
                 merged.dedup();
                 if merged.len() > k {
@@ -92,7 +111,7 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
                 }
                 absorbed[d.index()] = true;
                 gates.push(d);
-                leaves = merged;
+                std::mem::swap(&mut leaves, &mut merged);
                 progressed = true;
                 break;
             }
@@ -102,13 +121,13 @@ pub fn cover(nl: &Netlist, k: usize) -> Result<Vec<LutCone>, MapError> {
         }
         cones.push(LutCone {
             root: g,
-            output: gate.output,
+            output: gate.output(),
             support: leaves,
             gates,
         });
     }
     cones.reverse(); // roughly input-to-output order, deterministic
-    Ok(cones)
+    cones
 }
 
 /// Checks cone invariants: every combinational gate covered exactly once,
@@ -124,12 +143,12 @@ pub(crate) fn validate_cover(nl: &Netlist, cones: &[LutCone], k: usize) -> bool 
         for &g in &cone.gates {
             covered[g.index()] += 1;
         }
-        if nl.gate(cone.root).output != cone.output {
+        if nl.gate(cone.root).output() != cone.output {
             return false;
         }
     }
     nl.gate_ids().all(|g| {
-        let want = usize::from(!nl.gate(g).kind.is_dff());
+        let want = usize::from(!nl.gate(g).kind().is_dff());
         covered[g.index()] == want
     })
 }

@@ -1,19 +1,27 @@
 //! Pre-mapping decomposition of wide gates into trees.
 
-use netpart_netlist::{GateKind, Netlist, SignalId};
+use netpart_netlist::{Gate, GateKind, Netlist, SignalId};
 
-/// Rewrites every combinational gate with more than `k` inputs into a
+/// Rewrites every AND/OR/NAND/NOR gate with more than `k` inputs into a
 /// balanced tree of at-most-`k`-input gates, returning the new netlist.
 ///
 /// AND/OR decompose into trees of themselves; NAND/NOR decompose into an
-/// AND/OR reduction tree with an inverting final stage. Gates already
-/// within the limit (and all DFFs) are copied unchanged.
+/// AND/OR reduction tree with an inverting final stage. Every other gate
+/// is copied unchanged: DFFs, gates already within the limit, and wide
+/// [`GateKind::Lut`] gates, whose generic covers cannot be decomposed
+/// structurally — [`map`](crate::map) rejects those with
+/// [`MapError::FaninTooLarge`](crate::MapError::FaninTooLarge). (XOR and
+/// XNOR are 2-input by construction.)
+///
+/// The result is an arena copy of `nl` up to the first wide gate, then
+/// the remaining gates with each tree's stages inserted before its final
+/// stage; the trees' internal signals (`_dec0`, `_dec1`, …) are appended
+/// after the existing ones, so every original signal keeps its id.
 ///
 /// # Panics
 ///
-/// Panics if a wide [`GateKind::Lut`] or a wide XOR/XNOR is encountered:
-/// generic covers cannot be decomposed structurally. (`k < 2` is also
-/// rejected.)
+/// Panics if `k < 2`, or if `nl` already has a signal named like one of
+/// the internal tree signals.
 ///
 /// # Examples
 ///
@@ -30,41 +38,49 @@ use netpart_netlist::{GateKind, Netlist, SignalId};
 /// nl.add_gate("big", GateKind::And, ins, y)?;
 /// nl.add_primary_output(y)?;
 /// let narrow = decompose_wide_gates(&nl, 4);
-/// assert!(narrow.gates().iter().all(|g| g.inputs.len() <= 4));
+/// assert!(narrow.gates().all(|g| g.inputs().len() <= 4));
 /// # Ok(())
 /// # }
 /// ```
 pub fn decompose_wide_gates(nl: &Netlist, k: usize) -> Netlist {
     assert!(k >= 2, "gates cannot be narrower than 2 inputs");
-    let mut out = Netlist::new(nl.name());
-    // Recreate signals in order so ids line up one-to-one.
-    let pi_set: std::collections::HashSet<SignalId> = nl.primary_inputs().iter().copied().collect();
-    for s in nl.signal_ids() {
-        let name = nl.signal_name(s);
-        if pi_set.contains(&s) {
-            out.add_primary_input(name).expect("names unique in source");
-        } else {
-            out.add_signal(name).expect("names unique in source");
+    let tree_of = |g: Gate<'_>| -> Option<(GateKind, GateKind)> {
+        if g.inputs().len() <= k {
+            return None;
         }
-    }
+        match g.kind() {
+            GateKind::And => Some((GateKind::And, GateKind::And)),
+            GateKind::Or => Some((GateKind::Or, GateKind::Or)),
+            GateKind::Nand => Some((GateKind::And, GateKind::Nand)),
+            GateKind::Nor => Some((GateKind::Or, GateKind::Nor)),
+            _ => None,
+        }
+    };
+    let first = nl
+        .gates()
+        .position(|g| tree_of(g).is_some())
+        .unwrap_or(nl.n_gates());
+    let mut out = nl.clone();
+    out.truncate_gates(first);
 
     let mut fresh = 0usize;
-    for (gi, g) in nl.gates().iter().enumerate() {
-        if g.kind.is_dff() || g.inputs.len() <= k {
-            out.add_gate(g.name.clone(), g.kind.clone(), g.inputs.clone(), g.output)
-                .expect("copy of valid gate");
+    let mut level: Vec<SignalId> = Vec::new();
+    for g in nl.gates().skip(first) {
+        let Some((reduce, finish)) = tree_of(g) else {
+            let copied = match g.kind() {
+                GateKind::Lut => {
+                    let cover: Vec<&str> = g.cover().collect();
+                    out.add_lut(g.name(), &cover, g.inputs(), g.output())
+                }
+                kind => out.add_gate(g.name(), kind, g.inputs(), g.output()),
+            };
+            copied.expect("copy of valid gate");
             continue;
-        }
-        let (reduce, finish) = match g.kind {
-            GateKind::And => (GateKind::And, GateKind::And),
-            GateKind::Or => (GateKind::Or, GateKind::Or),
-            GateKind::Nand => (GateKind::And, GateKind::Nand),
-            GateKind::Nor => (GateKind::Or, GateKind::Nor),
-            ref other => panic!("cannot decompose wide {other} gate {gi}"),
         };
         // Balanced reduction: fold groups of k signals until ≤ k remain,
         // then apply the (possibly inverting) final stage.
-        let mut level: Vec<SignalId> = g.inputs.clone();
+        level.clear();
+        level.extend_from_slice(g.inputs());
         while level.len() > k {
             let mut next = Vec::with_capacity(level.len().div_ceil(k));
             for chunk in level.chunks(k) {
@@ -76,19 +92,16 @@ pub fn decompose_wide_gates(nl: &Netlist, k: usize) -> Netlist {
                     .add_signal(format!("_dec{fresh}"))
                     .expect("fresh internal name");
                 fresh += 1;
-                out.add_gate(format!("_dec_g{fresh}"), reduce.clone(), chunk.to_vec(), t)
+                out.add_gate(format!("_dec_g{fresh}"), reduce, chunk, t)
                     .expect("tree stage is valid");
                 next.push(t);
             }
             level = next;
         }
-        out.add_gate(g.name.clone(), finish, level, g.output)
+        out.add_gate(g.name(), finish, &level, g.output())
             .expect("final stage is valid");
     }
-    for &s in nl.primary_outputs() {
-        out.add_primary_output(s).expect("signal recreated");
-    }
-    debug_assert!(out.validate().is_ok());
+    debug_assert_eq!(out.validate(), nl.validate());
     out
 }
 
@@ -112,27 +125,19 @@ mod tests {
     fn and_tree_has_narrow_gates() {
         let nl = decompose_wide_gates(&wide(GateKind::And, 17), 4);
         nl.validate().unwrap();
-        assert!(nl.gates().iter().all(|g| g.inputs.len() <= 4));
-        assert!(nl.gates().iter().all(|g| matches!(g.kind, GateKind::And)));
+        assert!(nl.gates().all(|g| g.inputs().len() <= 4));
+        assert!(nl.gates().all(|g| g.kind() == GateKind::And));
     }
 
     #[test]
     fn nand_tree_inverts_once() {
         let nl = decompose_wide_gates(&wide(GateKind::Nand, 10), 3);
         nl.validate().unwrap();
-        let nands = nl
-            .gates()
-            .iter()
-            .filter(|g| matches!(g.kind, GateKind::Nand))
-            .count();
+        let nands = nl.gates().filter(|g| g.kind() == GateKind::Nand).count();
         assert_eq!(nands, 1, "exactly the final stage inverts");
         let y = nl.signal_by_name("y").unwrap();
-        let final_gate = nl
-            .gates()
-            .iter()
-            .find(|g| g.output == y)
-            .expect("output driven");
-        assert!(matches!(final_gate.kind, GateKind::Nand));
+        let final_gate = nl.gates().find(|g| g.output() == y).expect("output driven");
+        assert_eq!(final_gate.kind(), GateKind::Nand);
     }
 
     #[test]
@@ -140,7 +145,7 @@ mod tests {
         let src = wide(GateKind::Or, 3);
         let out = decompose_wide_gates(&src, 4);
         assert_eq!(out.n_gates(), 1);
-        assert_eq!(out.gates()[0].inputs.len(), 3);
+        assert_eq!(out.gates().next().map(|g| g.inputs().len()), Some(3));
     }
 
     #[test]
@@ -154,25 +159,55 @@ mod tests {
         assert_eq!(out.n_dffs(), 1);
     }
 
+    /// A wide `.names` cover cannot be split structurally: it is copied
+    /// unchanged, and mapping then reports it as a typed error.
     #[test]
-    #[should_panic(expected = "cannot decompose")]
-    fn wide_xor_panics() {
-        // XOR arity is capped at 2 by the model, so fabricate a wide LUT.
+    fn wide_lut_copied_for_map_to_reject() {
         let mut nl = Netlist::new("t");
         let ins: Vec<_> = (0..6)
             .map(|i| nl.add_primary_input(format!("i{i}")).unwrap())
             .collect();
         let y = nl.add_signal("y").unwrap();
-        nl.add_gate(
-            "l",
-            GateKind::Lut {
-                cover: vec!["111111 1".into()],
-            },
-            ins,
-            y,
-        )
-        .unwrap();
+        nl.add_lut("l", &["111111 1"], ins, y).unwrap();
         nl.add_primary_output(y).unwrap();
-        decompose_wide_gates(&nl, 4);
+        let out = decompose_wide_gates(&nl, 4);
+        assert_eq!(out.n_gates(), 1);
+        let g = out.gates().next().unwrap();
+        assert_eq!(g.inputs().len(), 6);
+        assert_eq!(g.cover().collect::<Vec<_>>(), ["111111 1"]);
+        assert!(matches!(
+            crate::map(&out, &crate::MapperConfig::xc3000()),
+            Err(crate::MapError::FaninTooLarge { fanin: 6, .. })
+        ));
+    }
+
+    /// Gates after a decomposed one are copied with their names, kinds,
+    /// covers and signals; only the tree stages are new.
+    #[test]
+    fn gates_after_a_tree_are_copied() {
+        let mut nl = Netlist::new("t");
+        let ins: Vec<_> = (0..7)
+            .map(|i| nl.add_primary_input(format!("i{i}")).unwrap())
+            .collect();
+        let (y, z, q) = (
+            nl.add_signal("y").unwrap(),
+            nl.add_signal("z").unwrap(),
+            nl.add_signal("q").unwrap(),
+        );
+        nl.add_gate("big", GateKind::Nor, &ins, y).unwrap();
+        nl.add_lut("l", &["1- 1", "-1 1"], [y, ins[0]], z).unwrap();
+        nl.add_gate("ff", GateKind::Dff, [z], q).unwrap();
+        nl.add_primary_output(q).unwrap();
+        let out = decompose_wide_gates(&nl, 3);
+        out.validate().unwrap();
+        assert_eq!(out.n_signals(), nl.n_signals() + 2);
+        let tail: Vec<_> = out.gates().skip(out.n_gates() - 3).collect();
+        assert_eq!(tail[0].name(), "big");
+        assert_eq!(tail[0].kind(), GateKind::Nor);
+        assert_eq!(tail[1].name(), "l");
+        assert_eq!(tail[1].cover().collect::<Vec<_>>(), ["1- 1", "-1 1"]);
+        assert_eq!(tail[1].inputs(), [y, ins[0]]);
+        assert_eq!(tail[2].kind(), GateKind::Dff);
+        assert_eq!(out.primary_outputs(), [q]);
     }
 }

@@ -15,6 +15,8 @@
 //!    per-cell output→input adjacency matrices, from which the paper's
 //!    replication potential `ψ` distribution (Fig. 3) falls out.
 //!
+//! [`ingest_blif`] runs the whole chain from BLIF text.
+//!
 //! # Examples
 //!
 //! ```
@@ -36,10 +38,12 @@
 mod cover;
 mod decompose;
 mod error;
+mod ingest;
 mod mapped;
 mod pack;
 
 pub use cover::{cover, LutCone};
 pub use decompose::decompose_wide_gates;
 pub use error::MapError;
+pub use ingest::{ingest_blif, IngestError};
 pub use mapped::{map, Clb, Mapped, MapperConfig, Unit};

@@ -1,6 +1,6 @@
 //! The mapped design: units, CLBs and hypergraph emission.
 
-use crate::cover::{consumer_counts, cover, LutCone};
+use crate::cover::{check_fanin, consumer_counts, cover_in_order, LutCone};
 use crate::error::MapError;
 use crate::pack::pack_units;
 use netpart_hypergraph::{AdjacencyMatrix, BitVec, CellKind, Hypergraph, HypergraphBuilder, NetId};
@@ -129,10 +129,10 @@ impl Mapped {
     pub fn unit_output(&self, nl: &Netlist, unit: &Unit) -> SignalId {
         match unit {
             Unit::Lut { cone, registered } => match registered {
-                Some(ff) => nl.gate(*ff).output,
+                Some(ff) => nl.gate(*ff).output(),
                 None => self.cones[*cone].output,
             },
-            Unit::ExtReg { dff } => nl.gate(*dff).output,
+            Unit::ExtReg { dff } => nl.gate(*dff).output(),
         }
     }
 
@@ -141,7 +141,7 @@ impl Mapped {
     pub fn unit_support<'a>(&'a self, nl: &'a Netlist, unit: &Unit) -> &'a [SignalId] {
         match unit {
             Unit::Lut { cone, .. } => &self.cones[*cone].support,
-            Unit::ExtReg { dff } => &nl.gate(*dff).inputs[..1],
+            Unit::ExtReg { dff } => &nl.gate(*dff).inputs()[..1],
         }
     }
 
@@ -272,8 +272,12 @@ impl Mapped {
 /// combinational gate wider than the LUT input limit (run
 /// [`decompose_wide_gates`](crate::decompose_wide_gates) first).
 pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
-    nl.validate()?;
-    let cones = cover(nl, cfg.max_inputs)?;
+    // Validation sorts the gates topologically; covering reuses that
+    // order instead of sorting again.
+    let order = nl.checked_topo_order()?;
+    check_fanin(nl, cfg.max_inputs)?;
+    let consumers = consumer_counts(nl);
+    let cones = cover_in_order(nl, cfg.max_inputs, &order, &consumers);
 
     // Index cones by output signal for DFF absorption.
     let mut cone_of_output: Vec<Option<usize>> = vec![None; nl.n_signals()];
@@ -281,7 +285,6 @@ pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
         cone_of_output[c.output.index()] = Some(i);
     }
 
-    let consumers = consumer_counts(nl);
     let mut is_po = vec![false; nl.n_signals()];
     for &s in nl.primary_outputs() {
         is_po[s.index()] = true;
@@ -289,11 +292,11 @@ pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
 
     let mut registered_by: Vec<Option<GateId>> = vec![None; cones.len()];
     let mut ext_regs: Vec<GateId> = Vec::new();
-    for g in nl.gate_ids() {
-        if !nl.gate(g).kind.is_dff() {
+    for g in nl.gates() {
+        if !g.kind().is_dff() {
             continue;
         }
-        let d = nl.gate(g).inputs[0];
+        let d = g.inputs()[0];
         let absorbable = cfg.absorb_dffs
             && consumers[d.index()] == 1
             && !is_po[d.index()]
@@ -301,12 +304,12 @@ pub fn map(nl: &Netlist, cfg: &MapperConfig) -> Result<Mapped, MapError> {
         if absorbable {
             if let Some(ci) = cone_of_output[d.index()] {
                 if registered_by[ci].is_none() {
-                    registered_by[ci] = Some(g);
+                    registered_by[ci] = Some(g.id());
                     continue;
                 }
             }
         }
-        ext_regs.push(g);
+        ext_regs.push(g.id());
     }
 
     let mut units: Vec<Unit> = cones

@@ -69,36 +69,29 @@ pub(crate) fn pack_units(mapped: &Mapped, nl: &Netlist, units: Vec<Unit>) -> Vec
 /// An affinity-driven unit `i` takes the feasible unpaired partner with
 /// the most shared inputs, then the fewest merged inputs, then the lowest
 /// unit id. That key is a strict total order, so the order in which
-/// candidates are visited cannot change the winner.
+/// candidates are visited cannot change the winner; [`HubScan`] finds it
+/// without walking the longest reader list.
 fn pair_units(cfg: &MapperConfig, n_signals: usize, units: &[PackUnit]) -> Vec<Option<usize>> {
+    let mut scan = HubScan::new(n_signals, units);
+    pair_with(cfg, units, |i, partner| scan.best(cfg, units, i, partner))
+}
+
+/// Whether units `a` and `b`, with `merged` distinct inputs together,
+/// fit one CLB.
+fn fits(cfg: &MapperConfig, a: &PackUnit, b: &PackUnit, merged: usize) -> bool {
+    a.dffs + b.dffs <= cfg.max_dffs
+        && !(a.ext && b.ext) // only one DIN pin per CLB
+        && merged <= cfg.max_inputs
+}
+
+/// The pairing loop: `affine(i, partner)` picks the partner of an
+/// affinity-driven unit `i` given the pairing so far.
+fn pair_with(
+    cfg: &MapperConfig,
+    units: &[PackUnit],
+    mut affine: impl FnMut(usize, &[Option<usize>]) -> Option<usize>,
+) -> Vec<Option<usize>> {
     let n = units.len();
-    let fits = |a: usize, b: usize, merged: usize| {
-        units[a].dffs + units[b].dffs <= cfg.max_dffs
-            && !(units[a].ext && units[b].ext) // only one DIN pin per CLB
-            && merged <= cfg.max_inputs
-    };
-
-    // Signal index -> units reading it. Paired units are dropped lazily,
-    // the next time a list is scanned.
-    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n_signals];
-    for (i, u) in units.iter().enumerate() {
-        debug_assert!(u.support.windows(2).all(|w| w[0] < w[1]));
-        for &s in u.support {
-            readers[s.index()].push(i);
-        }
-    }
-
-    // shared[j]: inputs unit j shares with the unit being paired, reset
-    // through `touched`. A count never exceeds the paired unit's support
-    // length, so the longest support bounds the counter.
-    let longest = units.iter().map(|u| u.support.len()).max().unwrap_or(0);
-    assert!(
-        u32::try_from(longest).is_ok(),
-        "a {longest}-signal unit support overflows the shared-input counter"
-    );
-    let mut shared = vec![0u32; n];
-    let mut touched: Vec<usize> = Vec::new();
-
     let mut partner: Vec<Option<usize>> = vec![None; n];
     for i in 0..n {
         if partner[i].is_some() {
@@ -111,7 +104,10 @@ fn pair_units(cfg: &MapperConfig, n_signals: usize, units: &[PackUnit]) -> Vec<O
         // precisely what functional replication un-packs across the cut.
         let h = splitmix64(cfg.pack_seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15));
         let density_driven = (h % 1_000_000) as f64 / 1_000_000.0 >= cfg.pack_affinity;
-        let fits_union = |j: usize| fits(i, j, union_len(units[i].support, units[j].support));
+        let fits_union = |j: usize| {
+            let merged = union_len(units[i].support, units[j].support);
+            fits(cfg, &units[i], &units[j], merged)
+        };
         let mut best = if density_driven {
             // Scan a bounded neighbourhood starting at a pseudo-random
             // offset, ignoring input sharing.
@@ -124,28 +120,7 @@ fn pair_units(cfg: &MapperConfig, n_signals: usize, units: &[PackUnit]) -> Vec<O
                 .map(|off| lo + (start - lo + off) % span)
                 .find(|&j| j != i && partner[j].is_none() && fits_union(j))
         } else {
-            // Unit j appears once in the reader list of every input it
-            // shares with unit i.
-            for &s in units[i].support {
-                let list = &mut readers[s.index()];
-                list.retain(|&j| partner[j].is_none());
-                for &j in list.iter().filter(|&&j| j != i) {
-                    if shared[j] == 0 {
-                        touched.push(j);
-                    }
-                    shared[j] += 1;
-                }
-            }
-            let mut top: Option<(u32, usize, Reverse<usize>)> = None;
-            for &j in &touched {
-                let sh = std::mem::take(&mut shared[j]);
-                let merged = units[i].support.len() + units[j].support.len() - sh as usize;
-                if fits(i, j, merged) {
-                    top = top.max(Some((sh, cfg.max_inputs - merged, Reverse(j))));
-                }
-            }
-            touched.clear();
-            top.map(|(_, _, Reverse(j))| j)
+            affine(i, &partner)
         };
         if best.is_none() {
             // Fall back to a bounded forward scan so units without shared
@@ -158,6 +133,188 @@ fn pair_units(cfg: &MapperConfig, n_signals: usize, units: &[PackUnit]) -> Vec<O
         }
     }
     partner
+}
+
+/// Pairing classes: units with the same flip-flop count (0 or 1) and
+/// DIN use pass or fail [`fits`] together, except through their merged
+/// input count.
+const CLASSES: usize = 4;
+
+fn class(u: &PackUnit) -> usize {
+    usize::from(u.ext) * 2 + u.dffs
+}
+
+/// The affinity partner search.
+///
+/// A hub signal read by thousands of units would make every one of its
+/// readers walk the hub's whole reader list. So for unit `i` the list of
+/// its *hub* — the input with the longest reader list — is not walked:
+/// - every other input's list is walked, counting in `shared[j]` the
+///   inputs each unpaired `j` shares with `i` there (the *touched*
+///   units); a touched `j` that also reads the hub, found by binary
+///   search in its sorted support, shares one more;
+/// - an untouched unpaired reader of the hub shares exactly one input,
+///   so among those the key prefers the fewest merged inputs — the
+///   shortest support — then the lowest id. Each list is kept per
+///   pairing class in (support length, id) order, and within a class
+///   feasibility depends only on the merged input count, so the first
+///   unpaired entry of each class segment decides that class.
+///
+/// The first entry may be touched; its key here (one shared input) is
+/// then too low, but its exact key, already ranked, shares at least two
+/// inputs and beats every one-input candidate. The best of the touched
+/// best and the class winners is therefore the exact winner of the full
+/// scan.
+struct HubScan {
+    /// Segment `s * CLASSES + c` lists signal `s`'s readers of class
+    /// `c`: `readers[start[g]..start[g] + live[g]]`, in (support length,
+    /// id) order. Paired units are removed lazily, the next time a
+    /// segment is walked; `head[g]` skips the paired prefix of a
+    /// segment scanned on a hub and is reset by every walk.
+    start: Vec<u32>,
+    live: Vec<u32>,
+    head: Vec<u32>,
+    readers: Vec<u32>,
+    /// `shared[j]`: inputs unit `j` shares with the unit being paired,
+    /// outside its hub; reset through `touched`.
+    shared: Vec<u32>,
+    touched: Vec<usize>,
+}
+
+impl HubScan {
+    fn new(n_signals: usize, units: &[PackUnit]) -> Self {
+        // A count never exceeds the paired unit's support length, so the
+        // longest support bounds the counter (and the unit ids fit too).
+        let longest = units.iter().map(|u| u.support.len()).max().unwrap_or(0);
+        assert!(
+            u32::try_from(longest.max(units.len())).is_ok(),
+            "a {longest}-signal unit support overflows the shared-input counter"
+        );
+        assert!(
+            units.iter().all(|u| u.dffs <= 1),
+            "a packing unit holds at most one flip-flop"
+        );
+        let mut start = vec![0u32; n_signals * CLASSES + 1];
+        for u in units {
+            debug_assert!(u.support.windows(2).all(|w| w[0] < w[1]));
+            for s in u.support {
+                start[s.index() * CLASSES + class(u) + 1] += 1;
+            }
+        }
+        for g in 1..start.len() {
+            start[g] += start[g - 1];
+        }
+        let live: Vec<u32> = start.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut by_len: Vec<u32> = (0..units.len() as u32).collect();
+        by_len.sort_by_key(|&u| units[u as usize].support.len()); // stable: ids ascend
+        let mut fill = start.clone();
+        let mut readers = vec![0u32; *start.last().unwrap_or(&0) as usize];
+        for u in by_len {
+            let unit = &units[u as usize];
+            for s in unit.support {
+                let g = s.index() * CLASSES + class(unit);
+                readers[fill[g] as usize] = u;
+                fill[g] += 1;
+            }
+        }
+        HubScan {
+            start,
+            head: vec![0; live.len()],
+            live,
+            readers,
+            shared: vec![0; units.len()],
+            touched: Vec::new(),
+        }
+    }
+
+    /// How many units read `s` (the static count, paired ones included).
+    fn list_len(&self, s: SignalId) -> u32 {
+        self.start[(s.index() + 1) * CLASSES] - self.start[s.index() * CLASSES]
+    }
+
+    /// Drops paired units from segment `g`, keeping the order, and
+    /// returns the range of the unpaired ones in `readers`.
+    fn unpaired(&mut self, g: usize, partner: &[Option<usize>]) -> std::ops::Range<usize> {
+        let lo = self.start[g] as usize;
+        let mut kept = lo;
+        for r in lo..lo + self.live[g] as usize {
+            let j = self.readers[r];
+            if partner[j as usize].is_none() {
+                self.readers[kept] = j;
+                kept += 1;
+            }
+        }
+        self.live[g] = (kept - lo) as u32;
+        self.head[g] = 0;
+        lo..kept
+    }
+
+    /// The best feasible unpaired partner of affinity-driven unit `i`
+    /// under the (shared, fewest merged, lowest id) key, if any shares
+    /// an input with it.
+    fn best(
+        &mut self,
+        cfg: &MapperConfig,
+        units: &[PackUnit],
+        i: usize,
+        partner: &[Option<usize>],
+    ) -> Option<usize> {
+        let support = units[i].support;
+        let mut hub = *support.first()?;
+        for &s in support {
+            if self.list_len(s) > self.list_len(hub) {
+                hub = s;
+            }
+        }
+        for &s in support.iter().filter(|&&s| s != hub) {
+            for g in s.index() * CLASSES..(s.index() + 1) * CLASSES {
+                for r in self.unpaired(g, partner) {
+                    let j = self.readers[r] as usize;
+                    if j == i {
+                        continue;
+                    }
+                    if self.shared[j] == 0 {
+                        self.touched.push(j);
+                    }
+                    self.shared[j] += 1;
+                }
+            }
+        }
+        let key = |j: usize, shared: usize| {
+            let merged = support.len() + units[j].support.len() - shared;
+            fits(cfg, &units[i], &units[j], merged)
+                .then(|| (shared, cfg.max_inputs - merged, Reverse(j)))
+        };
+        let mut top = None;
+        for &j in &self.touched {
+            let on_hub = units[j].support.binary_search(&hub).is_ok();
+            top = top.max(key(j, self.shared[j] as usize + usize::from(on_hub)));
+        }
+        for g in hub.index() * CLASSES..(hub.index() + 1) * CLASSES {
+            if let Some(j) = self.first_unpaired(g, i, partner) {
+                top = top.max(key(j, 1));
+            }
+        }
+        for j in self.touched.drain(..) {
+            self.shared[j] = 0;
+        }
+        top.map(|(_, _, Reverse(j))| j)
+    }
+
+    /// The first unpaired unit other than `i` in segment `g`, advancing
+    /// the segment's cursor past its paired prefix.
+    fn first_unpaired(&mut self, g: usize, i: usize, partner: &[Option<usize>]) -> Option<usize> {
+        let seg = &self.readers[self.start[g] as usize..][..self.live[g] as usize];
+        let mut head = self.head[g] as usize;
+        while head < seg.len() && partner[seg[head] as usize].is_some() {
+            head += 1;
+        }
+        self.head[g] = head as u32;
+        seg[head..]
+            .iter()
+            .map(|&j| j as usize)
+            .find(|&j| j != i && partner[j].is_none())
+    }
 }
 
 /// The size of `a ∪ b` for sorted, distinct `a` and `b`.
@@ -179,9 +336,11 @@ fn union_len(a: &[SignalId], b: &[SignalId]) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{pair_units, PackUnit};
+    use super::{fits, pair_units, pair_with, union_len, PackUnit};
     use crate::mapped::{map, MapperConfig, Unit};
     use netpart_netlist::{generate, GeneratorConfig, SignalId};
+    use netpart_rng::Rng;
+    use std::cmp::Reverse;
 
     fn lut(support: &[SignalId]) -> PackUnit<'_> {
         PackUnit {
@@ -241,6 +400,89 @@ mod tests {
         };
         let partner = pair_units(&cfg, 70_000, &units);
         assert_eq!(partner[0], Some(2));
+    }
+
+    /// The brute-force affinity choice: every unpaired unit sharing an
+    /// input with `i`, under the same strict key.
+    fn oracle(cfg: &MapperConfig, units: &[PackUnit]) -> Vec<Option<usize>> {
+        pair_with(cfg, units, |i, partner| {
+            (0..units.len())
+                .filter(|&j| j != i && partner[j].is_none())
+                .filter_map(|j| {
+                    let (a, b) = (units[i].support, units[j].support);
+                    let merged = union_len(a, b);
+                    let shared = a.len() + b.len() - merged;
+                    (shared > 0 && fits(cfg, &units[i], &units[j], merged))
+                        .then(|| (shared, cfg.max_inputs - merged, Reverse(j)))
+                })
+                .max()
+                .map(|(_, _, Reverse(j))| j)
+        })
+    }
+
+    /// The hub scan picks exactly the brute-force partner on random unit
+    /// sets with planted hub signals, DIN-fed registers and registered
+    /// LUTs, across the affinity/density mix and CLB limits.
+    #[test]
+    fn hub_scan_matches_brute_force_oracle() {
+        let mut rng = Rng::seed_from_u64(0x9ac4);
+        for case in 0..384 {
+            let n_signals = 8 + rng.gen_range(0..80);
+            let hubs: Vec<u32> = (0..1 + rng.gen_range(0..3))
+                .map(|_| rng.gen_range(0..n_signals) as u32)
+                .collect();
+            let hub_p = 0.3 + 0.6 * rng.gen_f64();
+            let n = 1 + rng.gen_range(0..400);
+            let mut supports: Vec<Vec<SignalId>> = Vec::with_capacity(n);
+            let mut kinds = Vec::with_capacity(n); // (dffs, ext)
+            for _ in 0..n {
+                let ext = rng.gen_bool(0.15);
+                let len = if ext { 1 } else { rng.gen_range(0..6) };
+                let mut sup: Vec<u32> = Vec::with_capacity(len);
+                if len > 0 && rng.gen_bool(hub_p) {
+                    sup.push(hubs[rng.gen_range(0..hubs.len())]);
+                }
+                while sup.len() < len {
+                    let s = rng.gen_range(0..n_signals) as u32;
+                    if !sup.contains(&s) {
+                        sup.push(s);
+                    }
+                }
+                sup.sort_unstable();
+                supports.push(sup.into_iter().map(SignalId).collect());
+                kinds.push((usize::from(ext || rng.gen_bool(0.3)), ext));
+            }
+            let units: Vec<PackUnit> = supports
+                .iter()
+                .zip(&kinds)
+                .map(|(s, &(dffs, ext))| PackUnit {
+                    support: s,
+                    dffs,
+                    ext,
+                })
+                .collect();
+            let affinity = match case % 4 {
+                0 => 1.0,
+                1 => 0.0,
+                _ => rng.gen_f64(),
+            };
+            let cfg = MapperConfig {
+                max_inputs: 3 + rng.gen_range(0..4),
+                max_dffs: 1 + rng.gen_range(0..2),
+                pack_seed: rng.next_u64(),
+                ..MapperConfig::xc3000()
+                    .with_pack_affinity(affinity)
+                    .with_pack_window(2 + rng.gen_range(0..40))
+            };
+            let (got, want) = (pair_units(&cfg, n_signals, &units), oracle(&cfg, &units));
+            if let Some(i) = (0..n).find(|&i| got[i] != want[i]) {
+                panic!(
+                    "case {case}: unit {i} paired with {:?}, oracle {:?} \
+                     ({n} units over {n_signals} signals, hubs {hubs:?}, {cfg:?})",
+                    got[i], want[i]
+                );
+            }
+        }
     }
 
     #[test]

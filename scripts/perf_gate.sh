@@ -14,6 +14,13 @@
 # lacks has no reference to regress against. Any matched series more
 # than 15% slower fails the gate.
 #
+# The deterministic gauges the archive also carries — every `cut_*`
+# size, `rent100k_cut`, `rent100k_passes`, `kway_cost` and
+# `kway_passes` — must equal the baseline exactly: they are functions
+# of the seeds alone, so any difference is a behaviour change, not
+# noise, and a timing compared across different work means nothing.
+# They are discovered and matched the same way as the timed series.
+#
 # The baseline only moves on purpose. Without --bless the old baseline
 # is restored after every run, pass or fail, so a string of regressions
 # each just under 15% cannot compound into a drifting reference. With
@@ -74,6 +81,19 @@ series() {
     }' "$1" | sort -u
 }
 
+# exact <file>: every deterministic gauge in a snapshot, sorted.
+exact() {
+  awk '
+    {
+      s = $0
+      while (match(s, /"(cut_[A-Za-z0-9_]*|rent100k_cut|rent100k_passes|kway_cost|kway_passes)"[ ]*:/)) {
+        k = substr(s, RSTART + 1)
+        print substr(k, 1, index(k, "\"") - 1)
+        s = substr(s, RSTART + RLENGTH)
+      }
+    }' "$1" | sort -u
+}
+
 # The committed baseline comes back on every exit path — a pass, a
 # regression, or the bench itself failing — unless --bless keeps the
 # fresh numbers.
@@ -119,6 +139,31 @@ for key in "${new_keys[@]-}"; do
     awk -v k="$key" -v n="$n" -v o="$o" -v t="$TOLERANCE" \
       'BEGIN { printf "REGRESSION: %s %.3f ms/pass vs baseline %.3f (> %d%% tolerance)\n", \
                k, n, o, (t - 1) * 100 + 0.5 }' >&2
+    status=1
+  fi
+done
+
+mapfile -t old_exact < <(exact "$old")
+mapfile -t new_exact < <(exact "$BASELINE")
+if [[ ${#new_exact[@]} -eq 0 ]]; then
+  echo "error: fresh bench run reported no deterministic gauges" >&2
+  status=1
+fi
+unmatched=$(comm -3 <(printf '%s\n' "${old_exact[@]-}") <(printf '%s\n' "${new_exact[@]-}"))
+if [[ -n "$unmatched" ]]; then
+  echo "error: deterministic gauges present on one side only:" >&2
+  printf '  %s\n' $unmatched >&2
+  status=1
+fi
+for key in "${new_exact[@]-}"; do
+  [[ -n "$key" ]] || continue
+  o=$(field "$old" "$key")
+  n=$(field "$BASELINE" "$key")
+  [[ -n "$o" && -n "$n" ]] || continue
+  if awk -v n="$n" -v o="$o" 'BEGIN { exit !(n == o) }'; then
+    printf 'ok: %-24s %10s (exact)\n' "$key" "$n"
+  else
+    echo "CHANGED: $key = $n vs baseline $o (deterministic, must match exactly)" >&2
     status=1
   fi
 done

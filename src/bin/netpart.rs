@@ -156,6 +156,7 @@ use netpart::report::{
 use netpart::serve::{
     atomic_write, CrashMode, Injector, JobState, QueueState, ServeError, Wal,
 };
+use netpart::techmap::ingest_blif;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -450,12 +451,7 @@ fn budget_of(f: &Flags) -> Budget {
 
 fn load(path: &str) -> Result<(Netlist, Hypergraph), Box<dyn Error>> {
     let text = std::fs::read_to_string(path)?;
-    let nl = parse_blif(&text)?;
-    nl.validate()?;
-    // Decompose anything wider than a 5-input LUT before mapping.
-    let nl = decompose_wide_gates(&nl, 5);
-    let hg = map(&nl, &MapperConfig::xc3000())?.to_hypergraph(&nl);
-    Ok((nl, hg))
+    Ok(ingest_blif(&text, &MapperConfig::xc3000())?)
 }
 
 /// The multilevel configuration requested on the command line, if any.

@@ -65,6 +65,23 @@ fn parse_failure_exits_one_with_line_number() {
     assert!(err.contains("line "), "stderr lacks a line number: {err}");
 }
 
+/// A `.names` wider than a LUT is a mapping error, not a crash: exit 1
+/// with the typed fan-in message, no panic backtrace.
+#[test]
+fn wide_names_exits_one_without_panic() {
+    let out = netpart()
+        .args(["stats", data("bad_wide_names.blif").to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains("error: gate g0 has fan-in 6 exceeding the 5-input LUT limit"),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
 #[test]
 fn missing_file_exits_one() {
     let out = netpart()

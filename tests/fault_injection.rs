@@ -62,6 +62,25 @@ fn blif_corpus_yields_typed_errors_not_panics() {
             bad += 1;
             let nl = parsed.unwrap_or_else(|e| panic!("{name} should parse: {e}"));
             assert_eq!(nl.n_gates(), 0, "{name} is meant to be empty");
+        } else if name == "bad_wide_names.blif" {
+            // Bad at the *mapping* stage: a valid 6-input `.names` is
+            // wider than a LUT. The whole ingest must return the typed
+            // fan-in error, not panic in decomposition.
+            bad += 1;
+            parsed.unwrap_or_else(|e| panic!("{name} should parse: {e}"));
+            let ingested = no_panic(&name, || {
+                netpart::techmap::ingest_blif(&text, &MapperConfig::xc3000())
+            });
+            assert!(
+                matches!(
+                    ingested,
+                    Err(netpart::techmap::IngestError::Map(
+                        netpart::techmap::MapError::FaninTooLarge { fanin: 6, .. }
+                    ))
+                ),
+                "{name}: {:?}",
+                ingested.map(|_| ())
+            );
         } else if name.starts_with("bad_") {
             bad += 1;
             assert!(parsed.is_err(), "{name} should not parse");

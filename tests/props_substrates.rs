@@ -85,8 +85,7 @@ fn decompose_is_mappable() {
         assert!(out.validate().is_ok(), "{case}");
         assert!(
             out.gates()
-                .iter()
-                .all(|g| g.kind.is_dff() || g.inputs.len() <= k),
+                .all(|g| g.kind().is_dff() || g.inputs().len() <= k),
             "{case}"
         );
         assert_eq!(
